@@ -1,8 +1,8 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.benchutil.Harness
-import repro.data.Workloads
+import repro.benchutil.{Env, Harness}
+import repro.data.{WorkQuery, Workloads}
 import repro.kv.Backend
 
 /** Exp-2 / Exp-3 (text + Figures 3–4, figures themselves out of scope):
@@ -12,13 +12,30 @@ import repro.kv.Backend
 class BoundedScalingBench extends SparkSpec {
   private val Sfs = Seq(0.02, 0.04, 0.08)
 
-  private lazy val runs = Sfs.map { sf =>
+  private val WarmRuns = 5
+
+  private lazy val measured = Sfs.map { sf =>
     val env = Harness.buildEnv(Workloads.mot, spark, sf)
     try {
       val bounded = Workloads.mot.queries.find(_.q.name == "mot_q3").get
       val unbounded = Workloads.mot.queries.find(_.q.name == "mot_q7").get
-      (sf, Harness.runBoth(env, bounded), Harness.runBoth(env, unbounded))
+      (sf, Harness.runBoth(env, bounded), Harness.runBoth(env, unbounded), warmWall(env, bounded))
     } finally env.close()
+  }
+
+  private lazy val runs = measured.map { case (sf, b, u, _) => (sf, b, u) }
+
+  /** Per SF, the (Zidian, baseline) median wall seconds of `mot_q3` over
+    * `WarmRuns` runs, after as many untimed runs: the first SF is measured
+    * in a cold JVM.
+    */
+  private lazy val walls = measured.map { case (sf, _, _, w) => (sf, w) }
+
+  private def warmWall(env: Env, wq: WorkQuery): (Double, Double) = {
+    (1 to WarmRuns).foreach(_ => Harness.runBoth(env, wq))
+    val timed = (1 to WarmRuns).map(_ => Harness.runBoth(env, wq))
+    def median(xs: Seq[Double]) = xs.sorted.apply(xs.size / 2)
+    (median(timed.map(_._2.wallSec)), median(timed.map(_._1.wallSec)))
   }
 
   test("Exp-2: print bounded-query scaling") {
@@ -29,6 +46,9 @@ class BoundedScalingBench extends SparkSpec {
     for ((sf, (bb, bz), (_, uz)) <- runs) {
       println(f"$sf%6.2f ${bz.values}%16d ${bz.commMB}%15.4f ${bb.values}%19d ${uz.values}%13d")
     }
+    println(s"mot_q3 warm wall time, median of $WarmRuns runs")
+    println(f"${"SF"}%6s ${"Zidian (s)"}%11s ${"baseline (s)"}%13s")
+    for ((sf, (z, b)) <- walls) println(f"$sf%6.2f $z%11.3f $b%13.3f")
   }
 
   test("Exp-2 shape: bounded-query #data is flat in |D| (paper: 0.7s at 1GB and 16GB)") {
@@ -36,6 +56,11 @@ class BoundedScalingBench extends SparkSpec {
     assert(vals.distinct.size == 1, s"bounded #data not flat: $vals")
     val gets = runs.map { case (_, (_, z), _) => z.gets }
     assert(gets.distinct.size == 1, s"bounded #get not flat: $gets")
+  }
+
+  test("Exp-2 wall: bounded-query warm wall time is flat in |D| (within 2x across SFs)") {
+    val zs = walls.map { case (_, (z, _)) => z }
+    assert(zs.max <= 2 * zs.min, s"mot_q3 warm wall seconds not flat: $zs")
   }
 
   test("Exp-2 shape: the baseline for the same query grows linearly") {

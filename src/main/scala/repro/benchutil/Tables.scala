@@ -48,6 +48,9 @@ object Tables {
     }
     row("time(s)", (r, b) => Harness.fmtSec(r.totalSec(b)),
         paperTable2("time")("SoH"), paperTable2("time")("SoHZidian"))
+    // The measured Spark wall seconds inside time(s), the same for every backend.
+    sb ++= Harness.fmtRow(Seq("wall(s)") ++ Backend.all.flatMap(_ =>
+      Seq(f"${base.wallSec}%.3f", f"${zid.wallSec}%.3f")) ++ Seq("-", "-"), w) += '\n'
     row("#data", (r, _) => Harness.sci(r.values.toDouble),
         paperTable2("#data")("SoH"), paperTable2("#data")("SoHZidian"))
     row("#get", (r, _) => Harness.sci(r.gets.toDouble),
@@ -103,6 +106,7 @@ object Tables {
       val cls = if (wq.scanFree) (if (wq.bounded) "s.f.+bnd" else "s.f.") else "non-s.f."
       sb ++= f"  ${ds}%-6s ${wq.q.name}%-10s $cls%-9s " +
         f"base=${b.totalSec(repro.kv.Backend.SoH)}%9.2fs zidian=${z.totalSec(repro.kv.Backend.SoH)}%8.2fs " +
+        f"wall ${b.wallSec}%6.3f->${z.wallSec}%6.3fs  " +
         f"gets ${b.gets}%9d->${z.gets}%7d  #data ${b.values}%10d->${z.values}%9d  " +
         f"comm ${b.commMB}%8.2f->${z.commMB}%6.2fMB scans ${b.scans}%d->${z.scans}%d\n"
     }

@@ -1,7 +1,7 @@
 package repro.core.preserve
 
 import repro.core.model.{BaaVSchema, Catalog}
-import repro.core.query.{Minimize, Query}
+import repro.core.query.Minimize
 
 /** Data / result preservability checks of module M1 (§5.2). */
 object Preservation {
@@ -20,13 +20,12 @@ object Preservation {
     * for each relation occurrence in `min(q)` there is a KV schema whose
     * closure covers `X^{min(q)}_R`. For RA_aggr queries this checks the
     * effective syntax of Theorem 3 (the max SPC sub-query — here, the SPC
-    * body — must be result preserving).
+    * body — must be result preserving). Takes `min(q)`, which
+    * [[repro.core.scanfree.ScanFree.check]] has already computed.
     */
-  def isResultPreserving(q: Query, schema: BaaVSchema, cat: Catalog): Boolean = {
-    val m = Minimize.minimize(q, cat)
+  def isResultPreserving(m: Minimize.MinResult, schema: BaaVSchema, cat: Catalog): Boolean =
     m.atoms.forall { at =>
       val need = m.xMin(at.alias).map(_.col)
       schema.forRel(at.rel).exists(kv => need.subsetOf(Closure.clo(kv, schema, cat)))
     }
-  }
 }

@@ -1,6 +1,7 @@
 package repro.kv
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.{DataFrame, Row, functions => F}
+import org.apache.spark.sql.types.{ArrayType, StructField, StructType}
 import repro.core.model.{BaaVSchema, KVSchema}
 
 /** A KV instance of `~R⟨X,Y⟩` (§4.1), physically a DataFrame with the key
@@ -33,6 +34,26 @@ final class KVInstance private[kv] (val schema: KVSchema, val blocked: DataFrame
       .agg(F.max(F.col("__sz"))).head().getLong(0)
 
   private def isEmpty: Boolean = blocked.isEmpty
+
+  /** Key → the blocks stored under it, one per segment: the point-access
+    * index of §7.2, held in memory. Built by one job over `blocked` on
+    * first use, so a lookup then reads only the blocks its key names. An
+    * instance made by `insert`/`delete` is a new object with its own index.
+    */
+  lazy val blocksByKey: Map[Seq[Any], Seq[Seq[Row]]] = {
+    val keyAt = schema.key.map(blocked.schema.fieldIndex)
+    val blockAt = blocked.schema.fieldIndex(BLOCK)
+    blocked.collect().toSeq.groupMap(r => keyAt.map(r.get))(_.getSeq[Row](blockAt))
+  }
+
+  /** The key columns, in `schema.key` order. */
+  def keyFields: Seq[StructField] = schema.key.map(blocked.schema(_))
+
+  /** The fields of a block's tuples, in `schema.value` order. */
+  def valueFields: Seq[StructField] = {
+    val ArrayType(tuple: StructType, _) = blocked.schema(BLOCK).dataType
+    schema.value.map(tuple(_))
+  }
 
   /** Total cells stored (key cells once per block + value cells per tuple). */
   lazy val cells: Long = numBlocks * schema.key.size + numTuples * schema.value.size

@@ -1,12 +1,13 @@
 package repro.zidian
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.model.{BaaVSchema, Catalog}
+import repro.core.model.{Attr, BaaVSchema, Catalog}
 import repro.core.planner.{Executor, PlanGen, ZPlan}
 import repro.core.preserve.Preservation
-import repro.core.query.Query
+import repro.core.query.{CmpConst, EqConst, Query}
 import repro.core.scanfree.ScanFree
 import repro.kv.{BaaVStore, KVMetrics, TaaVStore}
+import scala.util.control.NonFatal
 
 /** What Zidian decided about a query (modules M1/M2, §5.1–§6). */
 final case class Decision(
@@ -36,8 +37,9 @@ final class Zidian(val cat: Catalog, val schema: BaaVSchema,
 
   /** M1/M2 static decisions (no store access beyond degrees). */
   def decide(q: Query, store: Option[BaaVStore]): (Decision, ZPlan) = {
+    checkConstants(q)
     val report = ScanFree.check(q, schema, cat)
-    val rp = Preservation.isResultPreserving(q, schema, cat)
+    val rp = Preservation.isResultPreserving(report.minimized, schema, cat)
     val plan = PlanGen.planFrom(report, schema, cat)
     val bounded = store.map { s =>
       plan.scanFree && plan.usedInstances.forall(n => s(n).degree <= boundedDegree)
@@ -45,14 +47,33 @@ final class Zidian(val cat: Catalog, val schema: BaaVSchema,
     (Decision(rp, plan.scanFree, bounded, report), plan)
   }
 
+  /** Reject a constant its column's type cannot hold before any plan runs,
+    * instead of failing inside the first Spark job that casts it.
+    */
+  private def checkConstants(q: Query): Unit = q.preds.foreach {
+    case EqConst(a, v)     => checkConstant(q, a, v)
+    case CmpConst(a, _, v) => checkConstant(q, a, v)
+    case _                 => ()
+  }
+
+  private def checkConstant(q: Query, a: Attr, v: String): Unit = {
+    val t = q.typeOf(a, cat)
+    val ok = try Executor.constant(v, t) != null catch { case NonFatal(_) => false }
+    if (!ok) throw new IllegalArgumentException(
+      s"${q.name}: constant '$v' of ${a.qname} is not a value of its column type " +
+        Executor.sparkType(t).sql)
+  }
+
   /** Plan and execute `q` over the stores. Storage-access metrics are
     * recorded while the plan is interpreted; the returned DataFrame is the
-    * (lazily materialized) answer.
+    * (lazily materialized) answer. A bounded plan fetches a number of blocks
+    * independent of |D|, so its body runs in process; any other plan
+    * runs as Spark jobs.
     */
   def answer(q: Query, baav: BaaVStore, taav: TaaVStore, spark: SparkSession): ZidianAnswer = {
     val (decision, plan) = decide(q, Some(baav))
     val exec = new Executor(spark, cat, baav, taav)
-    val df = exec.run(plan)
+    val df = if (decision.bounded.contains(true)) exec.runInProcess(plan) else exec.run(plan)
     ZidianAnswer(df, exec.metrics, plan, decision, exec)
   }
 }

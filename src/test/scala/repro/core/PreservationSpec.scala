@@ -11,6 +11,9 @@ class PreservationSpec extends AnyFunSuite {
   private def a(al: String, c: String) = Attr(al, c)
   private val allRels = Seq("SUPPLIER", "PARTSUPP", "NATION")
 
+  private def resultPreserving(q: Query, sch: BaaVSchema, c: Catalog = cat): Boolean =
+    Preservation.isResultPreserving(Minimize.minimize(q, c), sch, c)
+
   test("clo starts from the schema's own attributes") {
     assert(Closure.clo(kvNation, r1, cat) == Set("name", "nationkey"))
   }
@@ -44,15 +47,15 @@ class PreservationSpec extends AnyFunSuite {
   }
 
   test("~R1 is result preserving for Q1") {
-    assert(Preservation.isResultPreserving(q1, r1, cat))
+    assert(resultPreserving(q1, r1))
   }
 
   test("~R1' is result preserving for Q1' (Example 5)") {
-    assert(Preservation.isResultPreserving(q1Prime, r1Prime, cat))
+    assert(resultPreserving(q1Prime, r1Prime))
   }
 
   test("~R1' is result preserving for Q2 thanks to minimization (Example 5)") {
-    assert(Preservation.isResultPreserving(q2, r1Prime, cat))
+    assert(resultPreserving(q2, r1Prime))
   }
 
   test("without minimization-aware X, Q2 over ~R1' would need availqty") {
@@ -63,14 +66,14 @@ class PreservationSpec extends AnyFunSuite {
 
   test("a query over an uncovered relation is not result preserving") {
     val sch = BaaVSchema(Seq(kvNation))
-    assert(!Preservation.isResultPreserving(q1, sch, cat))
+    assert(!resultPreserving(q1, sch))
   }
 
   test("result preservation needs every needed attribute in some closure") {
     // Remove supplycost from the only PARTSUPP schema: Q1 not preserved.
     val psNoCost = KVSchema("psx", "PARTSUPP", Seq("suppkey"), Seq("partkey", "availqty"))
     val sch = BaaVSchema(Seq(kvNation, kvSupplier, psNoCost))
-    assert(!Preservation.isResultPreserving(q1, sch, cat))
+    assert(!resultPreserving(q1, sch))
   }
 
   test("data preservability of the workload BaaV schemas") {
@@ -88,7 +91,7 @@ class PreservationSpec extends AnyFunSuite {
   test("every workload query is result preserving over its BaaV schema") {
     import repro.data.Workloads
     for (ds <- Workloads.all; wq <- ds.queries) {
-      assert(Preservation.isResultPreserving(wq.q, ds.baavSchema, ds.catalog),
+      assert(resultPreserving(wq.q, ds.baavSchema, ds.catalog),
              s"${wq.q.name} should be result preserving")
     }
   }

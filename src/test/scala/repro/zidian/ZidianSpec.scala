@@ -1,7 +1,8 @@
 package repro.zidian
 
-import repro.SparkSpec
+import repro.{SparkSpec, TwoPaths}
 import repro.benchutil.Harness
+import repro.core.query.EqConst
 import repro.data.Workloads
 
 /** Middleware-level guarantees: M1/M2 decisions match the paper's classes,
@@ -89,5 +90,28 @@ class ZidianSpec extends SparkSpec {
     val (d, _) = tight.decide(wq.q, Some(env.baav))
     assert(d.scanFree)
     assert(d.bounded.contains(false))
+  }
+
+  for (name <- Seq("MOT", "AIRCA")) {
+    test(s"$name: bounded q1-q6 give the same answers and counters in process and on Spark") {
+      val env = envs(name)
+      val bounded = env.ds.queries.filter(_.bounded)
+      assert(bounded.size == 6)
+      for (wq <- bounded) TwoPaths.check(env.zidian, wq.q, env.baav, env.taav, spark)
+    }
+  }
+
+  test("a constant its column type cannot hold is rejected before execution, on both paths") {
+    val env = envs("MOT")
+    val q1 = Workloads.mot.queries.head.q
+    val bad = q1.copy(preds = q1.preds.map {
+      case EqConst(a, _) => EqConst(a, "abc")
+      case p             => p
+    })
+    val onSpark = new Zidian(env.ds.catalog, env.ds.baavSchema, boundedDegree = 0)
+    for (z <- Seq(env.zidian, onSpark)) {
+      val e = intercept[IllegalArgumentException](z.answer(bad, env.baav, env.taav, spark))
+      for (part <- Seq("v.v_id", "'abc'", "BIGINT")) assert(e.getMessage.contains(part), e.getMessage)
+    }
   }
 }
