@@ -201,7 +201,7 @@ final class Executor(
       // (c) explode into alias-qualified rows and join back to the frontier.
       val exploded = Local(
         (keyFields ++ inst.valueFields).map(f => field(Attr(alias, f.name).field, f.dataType)).toVector,
-        fetched.flatMap { case (key, blocks) => blocks.flatten.map(key ++ _.toSeq) })
+        fetched.flatMap { case (key, blocks) => blocks.flatten.map(key ++ _) })
       val joinPairs = keyMap.collect { case (kcol, FromAttr(a)) => (a, Attr(alias, kcol)) }
       joinLocal(in, exploded, joinPairs)
 

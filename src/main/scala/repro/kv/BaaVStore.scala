@@ -1,6 +1,6 @@
 package repro.kv
 
-import org.apache.spark.sql.{DataFrame, Row, functions => F}
+import org.apache.spark.sql.{DataFrame, functions => F}
 import org.apache.spark.sql.types.{ArrayType, StructField, StructType}
 import repro.core.model.{BaaVSchema, KVSchema}
 
@@ -40,11 +40,7 @@ final class KVInstance private[kv] (val schema: KVSchema, val blocked: DataFrame
     * first use, so a lookup then reads only the blocks its key names. An
     * instance made by `insert`/`delete` is a new object with its own index.
     */
-  lazy val blocksByKey: Map[Seq[Any], Seq[Seq[Row]]] = {
-    val keyAt = schema.key.map(blocked.schema.fieldIndex)
-    val blockAt = blocked.schema.fieldIndex(BLOCK)
-    blocked.collect().toSeq.groupMap(r => keyAt.map(r.get))(_.getSeq[Row](blockAt))
-  }
+  lazy val blocksByKey: BlockIndex = BlockIndex.build(blocked, schema.key, BLOCK)
 
   /** The key columns, in `schema.key` order. */
   def keyFields: Seq[StructField] = schema.key.map(blocked.schema(_))

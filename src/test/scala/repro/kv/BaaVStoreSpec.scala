@@ -1,5 +1,6 @@
 package repro.kv
 
+import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.TestSchemas
@@ -54,6 +55,34 @@ class BaaVStoreSpec extends SparkSpec {
     assert(split.degree == 3)             // logical degree unchanged
     val back = split.flatten
     assert(back.exceptAll(inst.flatten).isEmpty && inst.flatten.exceptAll(back).isEmpty)
+  }
+
+  test("the key index returns every segment stored under a key, and none for a missing key") {
+    val split = KVInstance.fromRelation(partsuppDf, TestSchemas.kvPartsupp, maxBlockSize = Some(2))
+    val index = split.blocksByKey
+    assert(index.size == 4)
+    val seg10 = index.get(Seq(10L)).get
+    assert(seg10.map(_.size).sorted == Seq(1, 2))
+    assert(seg10.flatten.map(_.mkString(",")).sorted == Seq("1,5.0,3", "2,7.0,4", "3,9.0,5"))
+    assert(index.get(Seq(30L)).contains(Seq(Seq(Vector(5L, 1.0, 9)))))
+    assert(index.get(Seq(40L)).isEmpty)
+  }
+
+  test("the key index decodes string keys, dates and nulls as collect() does") {
+    import s.implicits._
+    val (d1, d2) = (java.sql.Date.valueOf("2020-01-02"), java.sql.Date.valueOf("2021-03-04"))
+    val df = Seq(("a", d1, Option(1L)), ("a", d2, None), ("a", d1, Option(1L)), ("b", d2, Option(2L)))
+      .toDF("k", "d", "n")
+    val i = KVInstance.fromRelation(df, KVSchema("~K", "K", Seq("k"), Seq("d", "n")))
+    def sorted(block: Seq[Seq[Any]]) = block.map(_.mkString("|")).sorted
+    val collected = i.blocked.collect().map(r => r.getString(0) -> r.getSeq[Row](1).map(_.toSeq))
+    assert(collected.length == 2)
+    for ((k, block) <- collected) {
+      val segments = i.blocksByKey.get(Seq(k)).get
+      assert(segments.size == 1 && sorted(segments.head) == sorted(block))
+    }
+    assert(i.blocksByKey.get(Seq("a")).get.head.count(_ == Vector(d1, 1L)) == 2)
+    assert(i.blocksByKey.get(Seq("c")).isEmpty)
   }
 
   test("fromRelation rejects empty value schemas") {
