@@ -19,17 +19,21 @@ class BoundedScalingBench extends SparkSpec {
     try {
       val bounded = Workloads.mot.queries.find(_.q.name == "mot_q3").get
       val unbounded = Workloads.mot.queries.find(_.q.name == "mot_q7").get
-      (sf, Harness.runBoth(env, bounded), Harness.runBoth(env, unbounded), warmWall(env, bounded))
+      val w = warmWall(env, bounded)
+      (sf, Harness.runBoth(env, bounded), Harness.runBoth(env, unbounded), w, jobsPerRead(env, bounded))
     } finally env.close()
   }
 
-  private lazy val runs = measured.map { case (sf, b, u, _) => (sf, b, u) }
+  private lazy val runs = measured.map { case (sf, b, u, _, _) => (sf, b, u) }
 
   /** Per SF, the (Zidian, baseline) median wall seconds of `mot_q3` over
     * `WarmRuns` runs, after as many untimed runs: the first SF is measured
     * in a cold JVM.
     */
-  private lazy val walls = measured.map { case (sf, _, _, w) => (sf, w) }
+  private lazy val walls = measured.map { case (sf, _, _, w, _) => (sf, w) }
+
+  /** Per SF, the Spark jobs of one warm Zidian read of `mot_q3`. */
+  private lazy val jobs = measured.map { case (sf, _, _, _, j) => (sf, j) }
 
   private def warmWall(env: Env, wq: WorkQuery): (Double, Double) = {
     (1 to WarmRuns).foreach(_ => Harness.runBoth(env, wq))
@@ -37,6 +41,10 @@ class BoundedScalingBench extends SparkSpec {
     def median(xs: Seq[Double]) = xs.sorted.apply(xs.size / 2)
     (median(timed.map(_._2.wallSec)), median(timed.map(_._1.wallSec)))
   }
+
+  /** The Spark jobs one Zidian read of `wq` launches: answer and collect. */
+  private def jobsPerRead(env: Env, wq: WorkQuery): Int =
+    jobsOf(env.zidian.answer(wq.q, env.baav, env.taav, spark).df.collect()).size
 
   test("Exp-2: print bounded-query scaling") {
     println()
@@ -49,6 +57,8 @@ class BoundedScalingBench extends SparkSpec {
     println(s"mot_q3 warm wall time, median of $WarmRuns runs")
     println(f"${"SF"}%6s ${"Zidian (s)"}%11s ${"baseline (s)"}%13s")
     for ((sf, (z, b)) <- walls) println(f"$sf%6.2f $z%11.3f $b%13.3f")
+    println("Spark jobs per warm mot_q3 read (answer + collect)")
+    for ((sf, j) <- jobs) println(f"$sf%6.2f $j%5d")
   }
 
   test("Exp-2 shape: bounded-query #data is flat in |D| (paper: 0.7s at 1GB and 16GB)") {
@@ -61,6 +71,10 @@ class BoundedScalingBench extends SparkSpec {
   test("Exp-2 wall: bounded-query warm wall time is flat in |D| (within 2x across SFs)") {
     val zs = walls.map { case (_, (z, _)) => z }
     assert(zs.max <= 2 * zs.min, s"mot_q3 warm wall seconds not flat: $zs")
+  }
+
+  test("Exp-2 jobs: a warm bounded read runs no Spark job at any |D|") {
+    assert(jobs.forall(_._2 == 0), s"Spark jobs per warm mot_q3 read: $jobs")
   }
 
   test("Exp-2 shape: the baseline for the same query grows linearly") {

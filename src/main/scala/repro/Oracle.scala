@@ -17,20 +17,25 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
-    val order = cols.sorted
-    val idx   = order.map(cols.indexOf)
-    rows
-      .map(r => idx.map { i =>
-        r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
-        }
-      })
-      .sortBy(_.mkString(""))
+  /** Canonical rows of a result, one `cell|cell|...` string per row:
+    * columns in name order, numerics to six decimals, rows sorted. Two
+    * results compare equal this way whatever their column and row order.
+    */
+  def canon(df: DataFrame): Seq[String] = canon(df.columns.toSeq, df.collect().toSeq)
+
+  /** [[canon]] of `rows` with columns named `cols`. */
+  def canon(cols: Seq[String], rows: Seq[Row]): Seq[String] = {
+    val order = cols.sorted.map(cols.indexOf)
+    rows.map(r => order.map(i => cell(r.get(i))).mkString("|")).sorted
+  }
+
+  private def cell(v: Any): String = v match {
+    case null                      => "∅"
+    case d: Double                 => f"$d%.6f"
+    case f: Float                  => f"${f.toDouble}%.6f"
+    case bd: java.math.BigDecimal  => f"${bd.doubleValue}%.6f"
+    case bd: scala.math.BigDecimal => f"${bd.doubleValue}%.6f"
+    case x                         => x.toString
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
@@ -65,8 +70,8 @@ object Oracle {
         dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
         s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
       )
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows, dCols)
+      val got = canon(sCols, sparkDf.collect().toSeq)
+      val exp = canon(dCols, dRows)
       require(got == exp,
         s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
         s"  first spark-only: ${got.diff(exp).take(3)}\n" +

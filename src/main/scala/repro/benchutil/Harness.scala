@@ -1,6 +1,6 @@
 package repro.benchutil
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.baseline.SqlOverNoSql
 import repro.data.{Dataset, WorkQuery}
 import repro.kv.{BaaVStore, Backend, KVMetrics, TaaVStore}
@@ -98,32 +98,6 @@ object Harness {
     if (warm) { run(env, wq, "baseline"); run(env, wq, "zidian") }
     (run(env, wq, "baseline"), run(env, wq, "zidian"))
   }
-
-  // -------------------------------------------------------- result diffing
-
-  /** Canonical rows of a result (column-order and row-order independent;
-    * numerics normalized) — for cross-checking Zidian vs the baseline.
-    */
-  def canon(df: DataFrame): Seq[String] = {
-    val cols = df.columns.toSeq
-    val order = cols.sorted.map(cols.indexOf)
-    df.collect().toSeq
-      .map { r =>
-        order.map { i =>
-          r.get(i) match {
-            case null                         => "∅"
-            case d: Double                    => f"$d%.6f"
-            case f: Float                     => f"${f.toDouble}%.6f"
-            case bd: java.math.BigDecimal     => f"${bd.doubleValue}%.6f"
-            case bd: scala.math.BigDecimal    => f"${bd.doubleValue}%.6f"
-            case x                            => x.toString
-          }
-        }.mkString("|")
-      }
-      .sorted
-  }
-
-  def sameResults(a: DataFrame, b: DataFrame): Boolean = canon(a) == canon(b)
 
   // ---------------------------------------------------------- formatting
 

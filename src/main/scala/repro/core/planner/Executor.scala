@@ -1,10 +1,17 @@
 package repro.core.planner
 
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession, functions => F}
-import org.apache.spark.sql.catalyst.CatalystTypeConverters
-import org.apache.spark.sql.catalyst.expressions.{Cast, EvalMode, Literal}
+import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.catalyst.analysis.{AnsiTypeCoercion, TypeCoercion}
+import org.apache.spark.sql.catalyst.expressions.{And, Attribute, AttributeReference,
+  BindReferences, Cast, EqualTo, EvalMode, Expression, GenericInternalRow, GreaterThan,
+  GreaterThanOrEqual, InterpretedMutableProjection, InterpretedProjection, JoinedRow, LessThan,
+  LessThanOrEqual, Literal, Not, Predicate}
+import org.apache.spark.sql.catalyst.expressions.aggregate.{Average, Count, DeclarativeAggregate, Max,
+  Min, Sum}
+import org.apache.spark.sql.catalyst.optimizer.NormalizeNaNAndZero
 import org.apache.spark.sql.internal.SQLConf
-import org.apache.spark.sql.types.{DataType, DataTypes, StructField, StructType}
+import org.apache.spark.sql.types.{DataType, DataTypes, DoubleType, FloatType, StructField, StructType}
 import repro.core.model.{Attr, Catalog, ColType}
 import repro.core.query._
 import repro.kv.{BaaVStore, KVInstance, KVMetrics, TaaVStore}
@@ -17,18 +24,20 @@ import scala.jdk.CollectionConverters._
   * the frontier's distinct keys, "ships" them to the storage nodes (counted
   * as comm + one get per key), fetches only the matching blocks (counted as
   * values), explodes them and joins back — data access and computation are
-  * interleaved instead of fetch-all-first. A plan body runs on one of two
-  * paths, which count the same #get/#data/comm:
+  * interleaved instead of fetch-all-first. A plan runs on one of two
+  * paths, which count the same #get/#data/comm and give the same answer,
+  * column names and types included:
   *
   *  - [[runInProcess]], for bounded plans: every frontier is capped by the
-  *    degree bound whatever |D| (§6.1), so the body is evaluated in
-  *    process over local row sets, and each `∝` looks its keys up in the
-  *    instance's key index ([[KVInstance.blocksByKey]]). Only the residual
-  *    σ/π/group-by of [[finish]] runs in Spark, over the body's rows as a
-  *    local relation.
+  *    degree bound whatever |D| (§6.1), so the whole plan is evaluated in
+  *    process over local row sets. Each `∝` looks its keys up in the
+  *    instance's key index ([[KVInstance.blocksByKey]]), and the residual
+  *    σ/π/group-by evaluates Catalyst's own expressions over the body's
+  *    rows. The answer is a local relation of the result rows: a warm read
+  *    runs no Spark job, collect included.
   *  - [[run]], for every other plan: each operator is DataFrame code, so
   *    Catalyst plans the physical execution and parallelism follows Spark's
-  *    partitioning.
+  *    partitioning. An `∝` whose frontier is empty fetches nothing.
   */
 final class Executor(
     spark: SparkSession,
@@ -83,22 +92,29 @@ final class Executor(
       val nKeys = keys.count()
       metrics.addGets(nKeys)
       metrics.addComm(nKeys * kv.key.size)
-      // (b) at the storage nodes, retrieve only the needed keyed blocks.
+      // (b) at the storage nodes, retrieve only the needed keyed blocks;
+      //     an empty frontier names none, so it fetches nothing.
       val inst = baav(kv.name)
-      val matched = inst.blocked.join(keys, kv.key.toSeq).cache()
-      cachedFrames += matched
-      val counts = matched
-        .agg(F.count(F.lit(1)), F.sum(F.size(F.col(KVInstance.BLOCK)))).head()
-      val segs = counts.getLong(0)
-      val fetchedTuples = if (counts.isNullAt(1)) 0L else counts.getLong(1)
-      val fetchedCells = fetchedTuples * kv.value.size + segs * kv.key.size
-      metrics.addValues(fetchedCells)
-      metrics.addComm(fetchedCells)
-      // (c) explode into alias-qualified rows and join back to the frontier.
-      val exploded = matched
-        .withColumn("__t", F.explode(F.col(KVInstance.BLOCK)))
-        .select(kv.key.map(c => F.col(c).as(Attr(alias, c).field)) ++
-          kv.value.map(c => F.col(s"__t.$c").as(Attr(alias, c).field)): _*)
+      val exploded =
+        if (nKeys == 0)
+          spark.createDataFrame(List.empty[Row].asJava, StructType(explodedFields(inst, alias)))
+        else {
+          val matched = inst.blocked.join(keys, kv.key.toSeq).cache()
+          cachedFrames += matched
+          val counts = matched
+            .agg(F.count(F.lit(1)), F.sum(F.size(F.col(KVInstance.BLOCK)))).head()
+          val segs = counts.getLong(0)
+          val fetchedTuples = if (counts.isNullAt(1)) 0L else counts.getLong(1)
+          val fetchedCells = fetchedTuples * kv.value.size + segs * kv.key.size
+          metrics.addValues(fetchedCells)
+          metrics.addComm(fetchedCells)
+          // (c) explode into alias-qualified rows.
+          matched
+            .withColumn("__t", F.explode(F.col(KVInstance.BLOCK)))
+            .select(kv.key.map(c => F.col(c).as(Attr(alias, c).field)) ++
+              kv.value.map(c => F.col(s"__t.$c").as(Attr(alias, c).field)): _*)
+        }
+      // Join the fetched rows back to the frontier.
       val joinPairs = keyMap.collect { case (kcol, FromAttr(a)) => (a, Attr(alias, kcol)) }
       joinFrames(in, exploded, joinPairs)
 
@@ -147,14 +163,16 @@ final class Executor(
 
   private val localMemo = mutable.Map.empty[(KPlan, String), Local]
 
-  /** Evaluate a bounded plan: the body in process, then the query's
-    * residual predicates, projection and aggregation in Spark over the
-    * body's rows. The plan must be scan-free.
+  /** Evaluate a bounded plan wholly in process: the body over local row
+    * sets, then the query's residual predicates, projection and
+    * aggregation over the body's rows ([[residual]]). The answer is a
+    * local relation of the result rows, so collecting it launches no Spark
+    * job. The plan must be scan-free.
     */
   def runInProcess(zp: ZPlan): DataFrame = {
-    val body = local(zp.body, zp.q)
-    val rows = body.rows.map(Row.fromSeq).asJava
-    finish(spark.createDataFrame(rows, StructType(body.fields)), zp.q)
+    val (schema, rows) = residual(local(zp.body, zp.q), zp.q)
+    val toScala = CatalystTypeConverters.createToScalaConverter(schema)
+    spark.createDataFrame(rows.map(r => toScala(r).asInstanceOf[Row]).asJava, schema)
   }
 
   private def local(p: KPlan, q: Query): Local =
@@ -199,8 +217,7 @@ final class Executor(
       metrics.addValues(fetchedCells)
       metrics.addComm(fetchedCells)
       // (c) explode into alias-qualified rows and join back to the frontier.
-      val exploded = Local(
-        (keyFields ++ inst.valueFields).map(f => field(Attr(alias, f.name).field, f.dataType)).toVector,
+      val exploded = Local(explodedFields(inst, alias),
         fetched.flatMap { case (key, blocks) => blocks.flatten.map(key ++ _) })
       val joinPairs = keyMap.collect { case (kcol, FromAttr(a)) => (a, Attr(alias, kcol)) }
       joinLocal(in, exploded, joinPairs)
@@ -238,6 +255,65 @@ final class Executor(
     Local(left.fields ++ keep.map(right.fields), rows)
   }
 
+  /** [[finish]] over the rows of `body`: the result's schema and rows.
+    * The predicates, casts and aggregates are the Catalyst expressions
+    * Spark's analyzer resolves `finish` to, evaluated by Catalyst's
+    * interpreter, so constants, comparisons of strings, dates and mixed
+    * numeric types, nulls, and the aggregates' result types and rounding
+    * are Spark's own.
+    */
+  private def residual(body: Local, q: Query): (StructType, Vector[InternalRow]) = {
+    val in = body.fields.map(f => AttributeReference(f.name, f.dataType, f.nullable)())
+    def col(a: Attr): Expression = in(body.at(a.field))
+    def lit(a: Attr, v: String): Expression = {
+      val t = q.typeOf(a, cat)
+      Literal.create(constant(v, t), sparkType(t))
+    }
+    val conds = q.preds.map {
+      case EqConst(a, v)      => compare(col(a), lit(a, v))(EqualTo)
+      case EqAttr(a, b)       => compare(col(a), col(b))(EqualTo)
+      case CmpConst(a, op, v) => compare(col(a), lit(a, v))(op match {
+        case "<"  => LessThan
+        case "<=" => LessThanOrEqual
+        case ">"  => GreaterThan
+        case ">=" => GreaterThanOrEqual
+        case "<>" => (l, r) => Not(EqualTo(l, r))
+      })
+    }
+    val keep = Predicate.createInterpreted(
+      BindReferences.bindReference(conds.foldLeft(Literal.TrueLiteral: Expression)(And), in))
+    val toCatalyst = CatalystTypeConverters.createToCatalystConverter(StructType(body.fields))
+    val rows = body.rows.map(r => toCatalyst(Row.fromSeq(r)).asInstanceOf[InternalRow]).filter(keep.eval)
+
+    def arg(a: Attr): Expression = aggArgType(q, a).fold(col(a))(cast(col(a), _))
+    val (outs, result) = q.groupBy match {
+      case Some(g) =>
+        val fns = q.aggs.map {
+          case Agg("count", None, _)    => Count(Literal(1))
+          case Agg("count", Some(a), _) => Count(col(a))
+          case Agg("sum", Some(a), _)   => Sum(arg(a))
+          case Agg("min", Some(a), _)   => Min(arg(a))
+          case Agg("max", Some(a), _)   => Max(arg(a))
+          case Agg("avg", Some(a), _)   => Average(arg(a))
+          case other                    => throw new IllegalArgumentException(s"bad agg $other")
+        }
+        val keys = g.map(col)
+        (q.projection.map(_._2).zip(keys) ++ q.aggs.map(_.as).zip(fns), aggregate(rows, in, keys, fns))
+      case None =>
+        val outs = q.projection.map { case (a, out) => out -> col(a) }
+        val project = new InterpretedProjection(outs.map { case (_, e) => if (q.distinct) asKey(e) else e }, in)
+        val projected = rows.map(project)
+        (outs, if (q.distinct) projected.distinct else projected)
+    }
+    (StructType(outs.map { case (name, e) => StructField(name, e.dataType, e.nullable) }), result)
+  }
+
+  /** The type an aggregate's argument is cast to: DECIMAL(18,2) for a
+    * numeric column, as in the generated SQL, so results compare exactly.
+    */
+  private def aggArgType(q: Query, a: Attr): Option[DataType] =
+    if (ColType.isNumeric(q.typeOf(a, cat))) Some(DataTypes.createDecimalType(18, 2)) else None
+
   /** Residual predicates + projection / group-by aggregation (the σ/π and
     * group-by operators of KBA over the final frame).
     */
@@ -257,12 +333,7 @@ final class Executor(
     }
     val filtered = conds.foldLeft(df)(_ filter _)
 
-    def aggArg(a: Attr): Column = q.typeOf(a, cat) match {
-      // DECIMAL(18,2) matches the generated SQL, so results compare exactly.
-      case ColType.DoubleT | ColType.LongT | ColType.IntT =>
-        F.col(a.field).cast(DataTypes.createDecimalType(18, 2))
-      case _ => F.col(a.field)
-    }
+    def aggArg(a: Attr): Column = aggArgType(q, a).fold(F.col(a.field))(F.col(a.field).cast)
     def aggCol(agg: Agg): Column = agg match {
       case Agg("count", None, as)    => F.count(F.lit(1)).as(as)
       case Agg("count", Some(a), as) => F.count(F.col(a.field)).as(as)
@@ -308,10 +379,8 @@ object Executor {
   def constant(v: String, t: ColType): Any =
     castValue(v, DataTypes.StringType, sparkType(t), EvalMode.fromSQLConf(SQLConf.get))
 
-  private def castValue(v: Any, from: DataType, to: DataType, mode: EvalMode.Value): Any = {
-    val cast = Cast(Literal.create(v, from), to, Some(SQLConf.get.sessionLocalTimeZone), mode)
-    CatalystTypeConverters.convertToScala(cast.eval(), to)
-  }
+  private def castValue(v: Any, from: DataType, to: DataType, mode: EvalMode.Value): Any =
+    CatalystTypeConverters.convertToScala(cast(Literal.create(v, from), to, mode).eval(), to)
 
   /** `v` of type `from` as the value of type `to` it equals under Spark's
     * `=`, if there is one. Spark compares two types in a type both widen
@@ -322,6 +391,58 @@ object Executor {
     else if (from == to) Some(v)
     else Option(castValue(v, from, to, EvalMode.TRY))
       .filter(c => castValue(c, to, from, EvalMode.TRY) == v)
+
+  /** `rows` grouped by their values of `keys`, one output row per group:
+    * the key values, then each aggregate's value over the group's rows,
+    * from its declarative initial, update and evaluate expressions. With
+    * no keys there is one group even over no rows, as for SQL's global
+    * aggregate.
+    */
+  private def aggregate(rows: Vector[InternalRow], in: Seq[Attribute], keys: Seq[Expression],
+                        fns: Seq[DeclarativeAggregate]): Vector[InternalRow] = {
+    val buffer = fns.flatMap(_.aggBufferAttributes)
+    val update = new InterpretedMutableProjection(fns.flatMap(_.updateExpressions), buffer ++ in)
+    val evaluate = new InterpretedProjection(fns.map(_.evaluateExpression), buffer)
+    val keyOf = new InterpretedProjection(keys.map(asKey), in)
+    val groups = if (keys.isEmpty) Vector(InternalRow.empty -> rows) else rows.groupBy(keyOf).toVector
+    groups.map { case (key, members) =>
+      val buf = new GenericInternalRow(fns.flatMap(_.initialValues).map(_.eval()).toArray)
+      update.target(buf)
+      members.foreach(r => update(new JoinedRow(buf, r)))
+      new JoinedRow(key, evaluate(buf))
+    }
+  }
+
+  /** `op` over `l` and `r` cast to the type Spark's analyzer compares them
+    * in (the session's type coercion: ANSI or not).
+    */
+  private def compare(l: Expression, r: Expression)(op: (Expression, Expression) => Expression): Expression = {
+    val common = if (SQLConf.get.ansiEnabled) AnsiTypeCoercion.findTightestCommonType
+                 else TypeCoercion.findTightestCommonType
+    val t = common(l.dataType, r.dataType).getOrElse(throw new IllegalArgumentException(
+      s"cannot compare ${l.dataType.sql} with ${r.dataType.sql}"))
+    def to(e: Expression) = if (e.dataType == t) e else cast(e, t)
+    op(to(l), to(r))
+  }
+
+  private def cast(e: Expression, to: DataType,
+                   mode: EvalMode.Value = EvalMode.fromSQLConf(SQLConf.get)): Expression =
+    Cast(e, to, Some(SQLConf.get.sessionLocalTimeZone), mode)
+
+  /** `e` as Spark groups and deduplicates it: a float or double with -0.0
+    * as 0.0 and every NaN as one (the optimizer's normalisation of a flat
+    * key column).
+    */
+  private def asKey(e: Expression): Expression = e.dataType match {
+    case FloatType | DoubleType => NormalizeNaNAndZero(e)
+    case _                      => e
+  }
+
+  /** The fields of an instance's exploded tuples: key, then value columns,
+    * qualified by `alias`.
+    */
+  private def explodedFields(inst: KVInstance, alias: String): Vector[StructField] =
+    (inst.keyFields ++ inst.valueFields).map(f => field(Attr(alias, f.name).field, f.dataType)).toVector
 
   private def allOf(xs: Seq[Option[Any]]): Option[Seq[Any]] =
     if (xs.contains(None)) None else Some(xs.flatten)

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.model.{Attr, BaaVSchema, Catalog}
 import repro.core.planner.{Executor, PlanGen, ZPlan}
 import repro.core.preserve.Preservation
-import repro.core.query.{CmpConst, EqConst, Query}
+import repro.core.query.{CmpConst, EqConst, Query, RelAtom}
 import repro.core.scanfree.ScanFree
 import repro.kv.{BaaVStore, KVMetrics, TaaVStore}
 import scala.util.control.NonFatal
@@ -37,6 +37,7 @@ final class Zidian(val cat: Catalog, val schema: BaaVSchema,
 
   /** M1/M2 static decisions (no store access beyond degrees). */
   def decide(q: Query, store: Option[BaaVStore]): (Decision, ZPlan) = {
+    checkAttrs(q)
     checkConstants(q)
     val report = ScanFree.check(q, schema, cat)
     val rp = Preservation.isResultPreserving(report.minimized, schema, cat)
@@ -45,6 +46,18 @@ final class Zidian(val cat: Catalog, val schema: BaaVSchema,
       plan.scanFree && plan.usedInstances.forall(n => s(n).degree <= boundedDegree)
     }
     (Decision(rp, plan.scanFree, bounded, report), plan)
+  }
+
+  /** Reject an attribute whose alias is not in the query's FROM clause, or
+    * whose column its alias's relation lacks, before the chase reasons
+    * about it.
+    */
+  private def checkAttrs(q: Query): Unit = q.allAttrs.toSeq.sortBy(_.qname).foreach { a =>
+    val rel = q.atoms.collectFirst { case RelAtom(r, a.alias) => r }.getOrElse(
+      throw new IllegalArgumentException(s"${q.name}: ${a.qname} names alias ${a.alias}, which is " +
+        s"not in FROM (${q.atoms.map(at => s"${at.rel} ${at.alias}").mkString(", ")})"))
+    if (!cat.contains(rel) || !cat(rel).attrs.contains(a.col)) throw new IllegalArgumentException(
+      s"${q.name}: ${a.qname} names no column of relation $rel (alias ${a.alias})")
   }
 
   /** Reject a constant its column's type cannot hold before any plan runs,

@@ -15,6 +15,15 @@ import org.scalatest.funsuite.AnyFunSuite
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
+  /** The ids of the Spark jobs `body` launches on this thread. */
+  def jobsOf(body: => Unit): Seq[Int] = {
+    val sc = spark.sparkContext
+    val group = s"jobs-of-${java.util.UUID.randomUUID}"
+    sc.setJobGroup(group, "jobs of one call")
+    try body finally sc.clearJobGroup()
+    sc.statusTracker.getJobIdsForGroup(group).toSeq
+  }
+
   override def afterAll(): Unit = { super.afterAll() }
 }
 

@@ -1,13 +1,14 @@
 package repro.core
 
 import java.sql.Date
-import repro.{SparkSpec, TestSchemas, TwoPaths}
+import repro.{Oracle, SparkSpec, TestSchemas, TwoPaths}
 import repro.TestSchemas._
 import repro.baseline.SqlOverNoSql
 import repro.benchutil.Harness
 import repro.core.model._
 import repro.core.planner._
 import repro.core.query._
+import repro.data.Workloads
 import repro.kv.{BaaVStore, TaaVStore}
 import repro.zidian.Zidian
 
@@ -210,14 +211,47 @@ class ExecutorSpec extends SparkSpec {
     assert(run(query("ev_id", " 7 ", "city")) == Seq("NICE|6.000000"))
   }
 
-  test("the in-process path runs no Spark job until the answer is collected") {
+  test("the in-process path runs no Spark job, collect included") {
     val z = new Zidian(cat, r1)
-    z.answer(q1, baav, taav, s).df.collect() // builds the instances' key indexes
-    val group = "executor-spec-in-process"
-    s.sparkContext.setJobGroup(group, "bounded answer")
-    val ans = try z.answer(q1, baav, taav, s) finally s.sparkContext.clearJobGroup()
-    assert(ans.decision.bounded.contains(true))
-    assert(s.sparkContext.statusTracker.getJobIdsForGroup(group).isEmpty)
+    def read() = z.answer(q1, baav, taav, s)
+    read().df.collect() // builds the instances' key indexes
+    assert(read().decision.bounded.contains(true))
+    assert(jobsOf(read().df.collect()).isEmpty)
+    // MOT q1-q6, each after one warm-up read of its own.
+    val env = Harness.buildEnv(Workloads.mot, s, 0.002)
+    try for (wq <- Workloads.mot.queries.filter(_.bounded)) {
+      def read() = env.zidian.answer(wq.q, env.baav, env.taav, s)
+      assert(read().decision.bounded.contains(true), wq.q.name)
+      read().df.collect()
+      val jobs = jobsOf(read().df.collect())
+      assert(jobs.isEmpty, s"${wq.q.name} ran Spark jobs $jobs")
+    } finally env.close()
+  }
+
+  test("an empty frontier on the Spark path skips its fetch job") {
+    // NATION -> SUPPLIER: an out-of-domain name leaves ~SUPPLIER no keys.
+    def query(name: String) = Query(s"suppliers_of_$name",
+      Seq(RelAtom("SUPPLIER", "S"), RelAtom("NATION", "N")),
+      Seq(EqAttr(Attr("S", "nationkey"), Attr("N", "nationkey")), EqConst(Attr("N", "name"), name)),
+      Seq(Attr("S", "suppkey") -> "suppkey"))
+    val onSpark = new Zidian(cat, r1, boundedDegree = 0)
+    def read(name: String) = {
+      var ans: repro.zidian.ZidianAnswer = null
+      val jobs = jobsOf { ans = onSpark.answer(query(name), baav, taav, s) }
+      ans.executor.cleanup()
+      (jobs.size, ans.metrics)
+    }
+    // Without adaptive execution each action is one job, so the count
+    // shows the actions a step runs: the empty step runs its key count only.
+    val aqe = "spark.sql.adaptive.enabled"
+    val was = s.conf.get(aqe)
+    s.conf.set(aqe, "false")
+    val ((found, _), (missed, m)) =
+      try { read("GERMANY"); read("ATLANTIS"); (read("GERMANY"), read("ATLANTIS")) }
+      finally s.conf.set(aqe, was)
+    assert(missed == found - 1, s"$missed jobs for an empty frontier, $found for a non-empty one")
+    // Only the ATLANTIS lookup: no key shipped to ~SUPPLIER, nothing fetched.
+    assert((m.gets, m.valuesAccessed, m.commCells) == (1, 0, 1))
   }
 
   test("a bounded read after insert or delete sees the write") {
@@ -225,20 +259,140 @@ class ExecutorSpec extends SparkSpec {
     val cols = data("PARTSUPP").columns
     val z = new Zidian(cat, r1)
     val store = BaaVStore.build(r1, data, materialize = false)
-    assert(Harness.canon(z.answer(q1, store, taav, s).df) == Seq("10|12.000000", "30|12.000000"))
+    assert(Oracle.canon(z.answer(q1, store, taav, s).df) == Seq("10|12.000000", "30|12.000000"))
     val ins = Seq((106L, 10L, 3.0, 7)).toDF(cols: _*)
     val del = Seq((103L, 30L, 2.0, 4)).toDF(cols: _*)
     def read(st: BaaVStore, ps: org.apache.spark.sql.DataFrame): Seq[String] = {
       val t = TaaVStore.build(cat, withRel("PARTSUPP", ps))
       val ans = z.answer(q1, st, t, s)
       assert(ans.decision.bounded.contains(true))
-      val rows = Harness.canon(ans.df)
-      assert(rows == Harness.canon(new SqlOverNoSql(cat, s).answer(q1, t)._1))
+      val rows = Oracle.canon(ans.df)
+      assert(rows == Oracle.canon(new SqlOverNoSql(cat, s).answer(q1, t)._1))
       rows
     }
     assert(read(store.insert("PARTSUPP", ins), data("PARTSUPP").unionByName(ins)) ==
              Seq("10|15.000000", "30|12.000000"))
     assert(read(store.delete("PARTSUPP", del), data("PARTSUPP").exceptAll(del)) ==
              Seq("10|12.000000", "30|10.000000"))
+  }
+
+  // ------------------------------- residual σ/π/group-by on both paths
+
+  private def day(d: String) = Date.valueOf(d)
+  private def e(c: String) = Attr("e", c)
+
+  /** EVENT rows for the residual operators: `qty` is INT and `ref` BIGINT;
+    * `price` is a DOUBLE whose cast to DECIMAL(18,2) rounds at the third
+    * decimal; the cities of 2024-03-07 order differently in UTF-8 (Spark)
+    * and UTF-16 (Java strings); 2024-03-08 has a price of 0.0 and -0.0.
+    */
+  private lazy val ev = {
+    import s.implicits._
+    val c = Catalog(Seq(RelSchema("EVENT",
+      Seq("ev_id" -> ColType.LongT, "day" -> ColType.DateT, "city" -> ColType.StringT,
+          "qty" -> ColType.IntT, "ref" -> ColType.LongT, "price" -> ColType.DoubleT),
+      pk = Seq("ev_id"))))
+    val sch = BaaVSchema(Seq(
+      KVSchema("ev_by_day", "EVENT", Seq("day"), Seq("ev_id", "city", "qty", "ref", "price")),
+      KVSchema("ev_by_city", "EVENT", Seq("city"), Seq("ev_id", "day", "qty", "ref", "price"))))
+    val d = Map("EVENT" -> Seq(
+      (1L, day("2024-03-05"), "PARIS", 1, 1L, 2.675),
+      (2L, day("2024-03-05"), "PARIS", 2, 5L, 0.125),
+      (3L, day("2024-03-05"), "PARIS", 2, 2L, 1.005),
+      (4L, day("2024-03-05"), "LYON", 4, 4L, 0.335),
+      (5L, day("2024-03-06"), "PARIS", 3, 9L, 1.0),
+      (6L, day("2024-03-07"), "Zurich", 5, 5L, 2.5),
+      (7L, day("2024-03-07"), "\uFF21", 6, 7L, 3.0),
+      (8L, day("2024-03-07"), "\uD83D\uDE00", 7, 7L, 4.0),
+      (9L, day("2024-03-07"), "avignon", 8, 1L, 5.0),
+      (10L, day("2024-03-07"), "avignon", 8, 2L, 5.0),
+      (11L, day("2024-03-08"), "NICE", 1, 1L, 0.0),
+      (12L, day("2024-03-08"), "NICE", 1, 1L, -0.0),
+    ).toDF("ev_id", "day", "city", "qty", "ref", "price"))
+    (c, sch, BaaVStore.build(sch, d, materialize = false), TaaVStore.build(c, d))
+  }
+
+  /** A query over EVENT `e`: `preds`, output columns named after their
+    * attributes, and aggregates `aggs` when `groupBy` is given.
+    */
+  private def evQuery(name: String, preds: Seq[Pred], out: Seq[String],
+                      groupBy: Option[Seq[String]] = None, aggs: Seq[Agg] = Nil,
+                      distinct: Boolean = false) =
+    Query(name, Seq(RelAtom("EVENT", "e")), preds, out.map(c => e(c) -> c),
+          groupBy.map(_.map(e)), aggs, distinct)
+
+  /** The in-process answer's rows, once both paths agree on them. */
+  private def evRows(q: Query): Seq[Seq[Any]] = {
+    val (c, sch, store, t) = ev
+    bothPaths(q, store, sch, c, t)
+    new Zidian(c, sch).answer(q, store, t, s).df.collect().toSeq.map(_.toSeq)
+  }
+
+  private def dec(v: String) = new java.math.BigDecimal(v)
+
+  test("both paths: avg is DECIMAL(22,6), rounded half up") {
+    val rows = evRows(evQuery("avg", Seq(EqConst(e("day"), "2024-03-05")), Seq("city"), Some(Seq("city")),
+      Seq(Agg("avg", Some(e("qty")), "mean_qty"), Agg("avg", Some(e("price")), "mean_price"))))
+    // PARIS: qty 5/3; prices 2.68 + 0.13 + 1.01 after the DECIMAL(18,2) cast.
+    assert(rows.toSet == Set(Seq("PARIS", dec("1.666667"), dec("1.273333")),
+                             Seq("LYON", dec("4.000000"), dec("0.340000"))))
+  }
+
+  test("both paths: min and max over a date and over a string") {
+    val byDay = evRows(evQuery("date_range", Seq(EqConst(e("city"), "PARIS")), Seq("city"), Some(Seq("city")),
+      Seq(Agg("min", Some(e("day")), "first"), Agg("max", Some(e("day")), "last"))))
+    assert(byDay == Seq(Seq("PARIS", day("2024-03-05"), day("2024-03-06"))))
+    val byCity = evRows(evQuery("city_range", Seq(EqConst(e("day"), "2024-03-07")), Seq("day"), Some(Seq("day")),
+      Seq(Agg("min", Some(e("city")), "first"), Agg("max", Some(e("city")), "last"))))
+    // UTF-8 order: U+1F600 (F0 ..) sorts after U+FF21 (EF ..); in UTF-16 it is before.
+    assert(byCity == Seq(Seq(day("2024-03-07"), "Zurich", "\uD83D\uDE00")))
+  }
+
+  test("both paths: sum over a DOUBLE rounds each value at the third decimal") {
+    val rows = evRows(evQuery("total", Seq(EqConst(e("city"), "PARIS")), Seq("city"), Some(Seq("city")),
+      Seq(Agg("sum", Some(e("price")), "total"))))
+    // 2.675, 0.125, 1.005 and 1.0 cast to 2.68, 0.13, 1.01 and 1.00.
+    assert(rows == Seq(Seq("PARIS", dec("4.82"))))
+  }
+
+  test("both paths: <> and range predicates on a date and on a string") {
+    def ids(seed: Pred, residual: Pred): Set[Any] =
+      evRows(evQuery("range", Seq(seed, residual), Seq("ev_id"))).map(_.head).toSet
+    val paris = EqConst(e("city"), "PARIS")
+    assert(ids(paris, CmpConst(e("day"), "<>", "2024-03-05")) == Set(5L))
+    assert(ids(paris, CmpConst(e("day"), "<", "2024-03-06")) == Set(1L, 2L, 3L))
+    assert(ids(paris, CmpConst(e("day"), ">=", "2024-03-06")) == Set(5L))
+    val mar7 = EqConst(e("day"), "2024-03-07")
+    assert(ids(mar7, CmpConst(e("city"), "<>", "avignon")) == Set(6L, 7L, 8L))
+    assert(ids(mar7, CmpConst(e("city"), ">", "Zurich")) == Set(7L, 8L, 9L, 10L))
+    assert(ids(mar7, CmpConst(e("city"), "<", "\uFF21")) == Set(6L, 9L, 10L))
+  }
+
+  test("both paths: a residual equality across INT and BIGINT columns") {
+    val rows = evRows(evQuery("same", Seq(EqConst(e("city"), "PARIS"), EqAttr(e("qty"), e("ref"))), Seq("ev_id")))
+    assert(rows.map(_.head).toSet == Set(1L, 3L))
+  }
+
+  test("both paths: a distinct projection without group-by") {
+    val q = evQuery("cities", Seq(EqConst(e("day"), "2024-03-07")), Seq("city"), distinct = true)
+    assert(evRows(q).map(_.head).sortBy(_.toString) ==
+             Seq("Zurich", "avignon", "\uD83D\uDE00", "\uFF21").sortBy(_.toString))
+    assert(evRows(q.copy(distinct = false)).size == 5)
+    // Spark deduplicates -0.0 and 0.0 as one value.
+    val prices = evQuery("prices", Seq(EqConst(e("day"), "2024-03-08")), Seq("price"), distinct = true)
+    assert(evRows(prices) == Seq(Seq(0.0)))
+  }
+
+  test("both paths: a global aggregate over an empty body gives one row") {
+    val rows = evRows(evQuery("none", Seq(EqConst(e("city"), "ATLANTIS")), Nil, Some(Nil),
+      Seq(Agg("count", None, "n"), Agg("count", Some(e("ref")), "refs"), Agg("sum", Some(e("price")), "total"),
+          Agg("min", Some(e("day")), "first"), Agg("avg", Some(e("qty")), "mean"))))
+    assert(rows == Seq(Seq(0L, 0L, null, null, null)))
+  }
+
+  test("both paths: a group-by over an empty body gives no rows") {
+    val q = evQuery("none_by_day", Seq(EqConst(e("city"), "ATLANTIS")), Seq("day"), Some(Seq("day")),
+      Seq(Agg("count", None, "n")))
+    assert(evRows(q).isEmpty)
   }
 }

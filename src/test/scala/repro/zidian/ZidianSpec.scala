@@ -2,6 +2,7 @@ package repro.zidian
 
 import repro.{SparkSpec, TwoPaths}
 import repro.benchutil.Harness
+import repro.core.model.Attr
 import repro.core.query.EqConst
 import repro.data.Workloads
 
@@ -112,6 +113,21 @@ class ZidianSpec extends SparkSpec {
     for (z <- Seq(env.zidian, onSpark)) {
       val e = intercept[IllegalArgumentException](z.answer(bad, env.baav, env.taav, spark))
       for (part <- Seq("v.v_id", "'abc'", "BIGINT")) assert(e.getMessage.contains(part), e.getMessage)
+    }
+  }
+
+  test("an unknown alias or column is rejected before planning, on both paths") {
+    val env = envs("MOT")
+    val q1 = Workloads.mot.queries.head.q
+    val unknownCol = q1.copy(projection = Seq(Attr("t", "t_verdict") -> "result"),
+                             groupBy = Some(Seq(Attr("t", "t_verdict"))))
+    val unknownAlias = q1.copy(preds = q1.preds :+ EqConst(Attr("x", "v_id"), "101"))
+    val onSpark = new Zidian(env.ds.catalog, env.ds.baavSchema, boundedDegree = 0)
+    for (z <- Seq(env.zidian, onSpark)) {
+      val col = intercept[IllegalArgumentException](z.answer(unknownCol, env.baav, env.taav, spark))
+      for (part <- Seq("mot_q1", "t.t_verdict", "test")) assert(col.getMessage.contains(part), col.getMessage)
+      val alias = intercept[IllegalArgumentException](z.decide(unknownAlias, Some(env.baav)))
+      for (part <- Seq("mot_q1", "x.v_id", "vehicle v", "test t")) assert(alias.getMessage.contains(part), alias.getMessage)
     }
   }
 }
