@@ -88,13 +88,7 @@ class BoundedScalingBench extends SparkSpec {
   }
 
   test("Exp-2 shape: bounded-query simulated time is indifferent to |D|") {
-    val ts = runs.map { case (_, (_, z), _) => Backend.SoH.storageSeconds(metricsOf(z), 8) }
+    val ts = runs.map { case (_, (_, z), _) => Backend.SoH.storageSeconds(z.metrics, 8) }
     assert(ts.max - ts.min < 1e-6, s"bounded storage time not flat: $ts")
-  }
-
-  private def metricsOf(r: repro.benchutil.QueryRun): repro.kv.KVMetrics = {
-    val m = new repro.kv.KVMetrics
-    m.gets = r.gets; m.valuesAccessed = r.values
-    m
   }
 }

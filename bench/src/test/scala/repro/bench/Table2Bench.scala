@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.benchutil.{Harness, Tables}
+import repro.benchutil.Tables
 import repro.kv.Backend
 
 /** Reproduces paper Table 2: the case-study query Q1 (Example 3, ≈ TPC-H

@@ -10,7 +10,7 @@ import repro.benchutil.Tables
 object Table2Job {
   def main(args: Array[String]): Unit = {
     val sf = args.headOption.map(_.toDouble).getOrElse(0.1)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("zidian-table2")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -11,7 +11,7 @@ import repro.benchutil.Tables
 object Table3Job {
   def main(args: Array[String]): Unit = {
     val sf = args.headOption.map(_.toDouble).getOrElse(0.1)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("zidian-table3")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

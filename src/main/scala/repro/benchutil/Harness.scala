@@ -1,6 +1,6 @@
 package repro.benchutil
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baseline.SqlOverNoSql
 import repro.data.{Dataset, WorkQuery}
 import repro.kv.{BaaVStore, Backend, KVMetrics, TaaVStore}
@@ -14,11 +14,10 @@ import repro.zidian.Zidian
 final case class QueryRun(
     dataset: String,
     query: String,
-    mode: String, // "baseline" or "zidian"
     wallSec: Double,
     gets: Long,
     values: Long,
-    commMB: Double,
+    commCells: Long,
     scans: Long,
     scanFree: Boolean,
     bounded: Boolean,
@@ -28,14 +27,16 @@ final case class QueryRun(
     * plus the modeled storage-access time.
     */
   def totalSec(backend: Backend, workers: Int = Backend.DefaultWorkers): Double =
-    wallSec + backend.storageSeconds(metricsView, workers)
+    wallSec + backend.storageSeconds(metrics, workers)
 
-  private def metricsView: KVMetrics = {
+  /** The run's access counters (scans aside) as [[KVMetrics]]. */
+  def metrics: KVMetrics = {
     val m = new KVMetrics
-    m.gets = gets; m.valuesAccessed = values
-    m.commCells = (commMB * 1e6 / 8.0).toLong
+    m.gets = gets; m.valuesAccessed = values; m.commCells = commCells
     m
   }
+
+  def commMB: Double = metrics.commMB
 }
 
 /** A dataset loaded into both stores, with the two evaluation stacks. */
@@ -71,32 +72,39 @@ object Harness {
       new SqlOverNoSql(ds.catalog, spark))
   }
 
-  /** Evaluate one query in one mode, timing the dataflow to completion. */
-  def run(env: Env, wq: WorkQuery, mode: String): QueryRun = {
+  /** Evaluate `wq` with the baseline, timing the answer and its collect. */
+  def runBaseline(env: Env, wq: WorkQuery): QueryRun = {
     val t0 = System.nanoTime()
-    val (df, m, sfree, bounded) = mode match {
-      case "baseline" =>
-        val (df, m) = env.baseline.answer(wq.q, env.taav)
-        (df, m, false, false)
-      case "zidian" =>
-        val ans = env.zidian.answer(wq.q, env.baav, env.taav, env.spark)
-        val r = (ans.df, ans.metrics, ans.plan.scanFree,
-                 ans.decision.bounded.getOrElse(false))
-        r
-      case other => throw new IllegalArgumentException(s"bad mode $other")
-    }
-    val rows = df.count()
+    val (df, m) = env.baseline.answer(wq.q, env.taav)
+    collected(env, wq, t0, df, m, scanFree = false, bounded = false)
+  }
+
+  /** Evaluate `wq` with Zidian, timing the answer and its collect, then
+    * release the frames its executor cached.
+    */
+  def runZidian(env: Env, wq: WorkQuery): QueryRun = {
+    val t0 = System.nanoTime()
+    val ans = env.zidian.answer(wq.q, env.baav, env.taav, env.spark)
+    try collected(env, wq, t0, ans.df, ans.metrics, ans.plan.scanFree,
+                  ans.decision.bounded.getOrElse(false))
+    finally ans.executor.cleanup()
+  }
+
+  /** Collect `df`, as a client does, and stop the clock started at `t0`. */
+  private def collected(env: Env, wq: WorkQuery, t0: Long, df: DataFrame, m: KVMetrics,
+                        scanFree: Boolean, bounded: Boolean): QueryRun = {
+    val rows = df.collect().length.toLong
     val wall = (System.nanoTime() - t0) / 1e9
-    QueryRun(env.ds.name, wq.q.name, mode, wall, m.gets, m.valuesAccessed,
-             m.commMB, m.scans, sfree, bounded, rows)
+    QueryRun(env.ds.name, wq.q.name, wall, m.gets, m.valuesAccessed,
+             m.commCells, m.scans, scanFree, bounded, rows)
   }
 
   /** Run one query in both modes; `warm = true` adds one untimed warm-up
     * evaluation per mode (absorbs codegen/JIT, as cluster benchmarks do).
     */
   def runBoth(env: Env, wq: WorkQuery, warm: Boolean = false): (QueryRun, QueryRun) = {
-    if (warm) { run(env, wq, "baseline"); run(env, wq, "zidian") }
-    (run(env, wq, "baseline"), run(env, wq, "zidian"))
+    if (warm) { runBaseline(env, wq); runZidian(env, wq) }
+    (runBaseline(env, wq), runZidian(env, wq))
   }
 
   // ---------------------------------------------------------- formatting

@@ -4,7 +4,8 @@ package repro.core.algebra
   *
   * Values are strings; an instance is a map from key tuples to blocks of
   * value tuples (bags, as lists). This is the executable specification
-  * that the Spark implementation ([[Kba]]) is property-tested against.
+  * that the executor's `∝` and `⋈` ([[repro.core.planner.Executor]]) are
+  * property-tested against.
   */
 object RefKba {
 

@@ -68,7 +68,7 @@ final class Executor(
   /** The frame of a sub-plan (memoized per query so shared chase prefixes
     * execute once).
     */
-  def frame(p: KPlan, q: Query): DataFrame =
+  private def frame(p: KPlan, q: Query): DataFrame =
     memo.getOrElseUpdate((p, q.name), compute(p, q))
 
   private def compute(p: KPlan, q: Query): DataFrame = p match {
@@ -273,11 +273,11 @@ final class Executor(
       case EqConst(a, v)      => compare(col(a), lit(a, v))(EqualTo)
       case EqAttr(a, b)       => compare(col(a), col(b))(EqualTo)
       case CmpConst(a, op, v) => compare(col(a), lit(a, v))(op match {
-        case "<"  => LessThan
-        case "<=" => LessThanOrEqual
-        case ">"  => GreaterThan
-        case ">=" => GreaterThanOrEqual
-        case "<>" => (l, r) => Not(EqualTo(l, r))
+        case CmpOp.Lt => LessThan
+        case CmpOp.Le => LessThanOrEqual
+        case CmpOp.Gt => GreaterThan
+        case CmpOp.Ge => GreaterThanOrEqual
+        case CmpOp.Ne => (l, r) => Not(EqualTo(l, r))
       })
     }
     val keep = Predicate.createInterpreted(
@@ -288,15 +288,15 @@ final class Executor(
     def arg(a: Attr): Expression = aggArgType(q, a).fold(col(a))(cast(col(a), _))
     val (outs, result) = q.groupBy match {
       case Some(g) =>
-        val fns = q.aggs.map {
-          case Agg("count", None, _)    => Count(Literal(1))
-          case Agg("count", Some(a), _) => Count(col(a))
-          case Agg("sum", Some(a), _)   => Sum(arg(a))
-          case Agg("min", Some(a), _)   => Min(arg(a))
-          case Agg("max", Some(a), _)   => Max(arg(a))
-          case Agg("avg", Some(a), _)   => Average(arg(a))
-          case other                    => throw new IllegalArgumentException(s"bad agg $other")
-        }
+        val fns = q.aggs.map(agg => agg.arg.fold[DeclarativeAggregate](Count(Literal(1))) { a =>
+          agg.fn match {
+            case AggFn.Count => Count(col(a))
+            case AggFn.Sum   => Sum(arg(a))
+            case AggFn.Min   => Min(arg(a))
+            case AggFn.Max   => Max(arg(a))
+            case AggFn.Avg   => Average(arg(a))
+          }
+        })
         val keys = g.map(col)
         (q.projection.map(_._2).zip(keys) ++ q.aggs.map(_.as).zip(fns), aggregate(rows, in, keys, fns))
       case None =>
@@ -324,25 +324,25 @@ final class Executor(
       case CmpConst(a, op, v) =>
         val l = F.col(a.field); val r = typedLit(q, v, a)
         op match {
-          case "<"  => l < r
-          case "<=" => l <= r
-          case ">"  => l > r
-          case ">=" => l >= r
-          case "<>" => l =!= r
+          case CmpOp.Lt => l < r
+          case CmpOp.Le => l <= r
+          case CmpOp.Gt => l > r
+          case CmpOp.Ge => l >= r
+          case CmpOp.Ne => l =!= r
         }
     }
     val filtered = conds.foldLeft(df)(_ filter _)
 
     def aggArg(a: Attr): Column = aggArgType(q, a).fold(F.col(a.field))(F.col(a.field).cast)
-    def aggCol(agg: Agg): Column = agg match {
-      case Agg("count", None, as)    => F.count(F.lit(1)).as(as)
-      case Agg("count", Some(a), as) => F.count(F.col(a.field)).as(as)
-      case Agg("sum", Some(a), as)   => F.sum(aggArg(a)).as(as)
-      case Agg("min", Some(a), as)   => F.min(aggArg(a)).as(as)
-      case Agg("max", Some(a), as)   => F.max(aggArg(a)).as(as)
-      case Agg("avg", Some(a), as)   => F.avg(aggArg(a)).as(as)
-      case other                     => throw new IllegalArgumentException(s"bad agg $other")
-    }
+    def aggCol(agg: Agg): Column = agg.arg.fold(F.count(F.lit(1))) { a =>
+      agg.fn match {
+        case AggFn.Count => F.count(F.col(a.field))
+        case AggFn.Sum   => F.sum(aggArg(a))
+        case AggFn.Min   => F.min(aggArg(a))
+        case AggFn.Max   => F.max(aggArg(a))
+        case AggFn.Avg   => F.avg(aggArg(a))
+      }
+    }.as(agg.as)
 
     q.groupBy match {
       case Some(g) =>

@@ -3,7 +3,7 @@ package repro.core.planner
 import repro.core.model.{Attr, BaaVSchema, Catalog, KVSchema}
 import repro.core.preserve.Closure
 import repro.core.query.{EqAttr, Query}
-import repro.core.scanfree.{ChaseResult, ChaseStep, ConstSrc, ScanFree, StepSrc}
+import repro.core.scanfree.{ChaseResult, ConstSrc, ScanFree, StepSrc}
 import scala.collection.mutable
 
 /** Chase-based KBA plan generation (§6.2, Example 7).

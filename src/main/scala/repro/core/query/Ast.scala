@@ -16,15 +16,31 @@ sealed trait Pred {
 }
 final case class EqConst(a: Attr, v: String) extends Pred { def attrs = Set(a) }
 final case class EqAttr(a: Attr, b: Attr)    extends Pred { def attrs = Set(a, b) }
-final case class CmpConst(a: Attr, op: String, v: String) extends Pred {
-  require(Set("<", "<=", ">", ">=", "<>").contains(op), s"bad op $op")
-  def attrs = Set(a)
+final case class CmpConst(a: Attr, op: CmpOp, v: String) extends Pred { def attrs = Set(a) }
+
+/** A range comparison operator of [[CmpConst]]; `sql` is its SQL spelling. */
+sealed abstract class CmpOp(val sql: String)
+object CmpOp {
+  case object Lt extends CmpOp("<")
+  case object Le extends CmpOp("<=")
+  case object Gt extends CmpOp(">")
+  case object Ge extends CmpOp(">=")
+  case object Ne extends CmpOp("<>")
 }
 
 /** A group-by aggregate `fn(arg) AS as`; `arg=None` means COUNT(*). */
-final case class Agg(fn: String, arg: Option[Attr], as: String) {
-  require(Set("sum", "count", "min", "max", "avg").contains(fn), s"bad agg $fn")
-  require(arg.isDefined || fn == "count", "only count may omit its argument")
+final case class Agg(fn: AggFn, arg: Option[Attr], as: String) {
+  require(arg.isDefined || fn == AggFn.Count, "only count may omit its argument")
+}
+
+/** An aggregate function of [[Agg]]; `sql` is its SQL name. */
+sealed abstract class AggFn(val sql: String)
+object AggFn {
+  case object Count extends AggFn("COUNT")
+  case object Sum   extends AggFn("SUM")
+  case object Min   extends AggFn("MIN")
+  case object Max   extends AggFn("MAX")
+  case object Avg   extends AggFn("AVG")
 }
 
 /** An RA_aggr query: an SPC body with an optional group-by aggregate head.

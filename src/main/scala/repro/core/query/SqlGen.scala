@@ -27,19 +27,21 @@ object SqlGen {
     case StringT                => s"'${v.replace("'", "''")}'"
   }
 
-  private def aggExpr(q: Query, agg: Agg, cat: Catalog): String = agg match {
-    case Agg("count", None, as)    => s"COUNT(*) AS $as"
-    case Agg("count", Some(a), as) => s"COUNT(${a.alias}.${a.col}) AS $as"
-    case Agg(fn, Some(a), as) =>
+  private def aggExpr(q: Query, agg: Agg, cat: Catalog): String = {
+    val arg = agg.arg.fold("*") { a =>
       val ref = s"${a.alias}.${a.col}"
-      val arg = q.typeOf(a, cat) match {
-        // DECIMAL(18,2) keeps Spark / DuckDB / KBA sums exactly equal.
-        case DoubleT | LongT | IntT => s"CAST($ref AS DECIMAL(18,2))"
-        case DateT                  => s"CAST($ref AS DATE)"
-        case StringT                => ref
+      agg.fn match {
+        case AggFn.Count => ref
+        case AggFn.Sum | AggFn.Min | AggFn.Max | AggFn.Avg =>
+          q.typeOf(a, cat) match {
+            // DECIMAL(18,2) keeps Spark / DuckDB / KBA sums exactly equal.
+            case DoubleT | LongT | IntT => s"CAST($ref AS DECIMAL(18,2))"
+            case DateT                  => s"CAST($ref AS DATE)"
+            case StringT                => ref
+          }
       }
-      s"${fn.toUpperCase}($arg) AS $as"
-    case other => throw new IllegalArgumentException(s"bad agg $other")
+    }
+    s"${agg.fn.sql}($arg) AS ${agg.as}"
   }
 
   /** The SQL text for `q` (same text for Spark and DuckDB). */
@@ -48,7 +50,7 @@ object SqlGen {
     val where = q.preds.map {
       case EqConst(a, v)     => s"${castExpr(q, a, cat)} = ${lit(q.typeOf(a, cat), v)}"
       case EqAttr(a, b)      => s"${castExpr(q, a, cat)} = ${castExpr(q, b, cat)}"
-      case CmpConst(a, o, v) => s"${castExpr(q, a, cat)} $o ${lit(q.typeOf(a, cat), v)}"
+      case CmpConst(a, o, v) => s"${castExpr(q, a, cat)} ${o.sql} ${lit(q.typeOf(a, cat), v)}"
     }
     val projCols = q.projection.map { case (a, out) => s"${a.alias}.${a.col} AS $out" }
     val select = q.groupBy match {

@@ -61,7 +61,6 @@ object Airca {
   }
 
   def plane(spark: SparkSession, sf: Double = 0.01, seed: Long = 21): DataFrame = {
-    import spark.implicits._
     spark.range(1, n(NPlanePerSf, sf) + 1).toDF("id").select(
       code("T", col("id"))                                       as "pl_tail",
       code("CA", skewed(NCarriers, seed))                        as "pl_carrier",

@@ -60,7 +60,6 @@ object Mot {
   }
 
   def item(spark: SparkSession, sf: Double = 0.01, seed: Long = 12): DataFrame = {
-    import spark.implicits._
     val nTest = n(NTestPerSf, sf)
     spark.range(n(NItemPerSf, sf)).select(
       (col("id") % nTest + 1)                                        as "it_tid",

@@ -41,7 +41,6 @@ object TpchLite {
   }
 
   def partsupp(spark: SparkSession, sf: Double = 0.01, seed: Long = 7): DataFrame = {
-    import spark.implicits._
     val nSupp = n(NSupplierPerSf, sf); val nPart = n(NPartPerSf, sf)
     spark.range(n(NPartsuppPerSf, sf)).select(
       (col("id") % nPart + 1)                            as "ps_partkey",

@@ -60,53 +60,6 @@ final class KVInstance private[kv] (val schema: KVSchema, val blocked: DataFrame
     exploded.select(
       schema.key.map(F.col) ++ schema.value.map(v => F.col(s"__t.$v").as(v)): _*)
   }
-
-  /** Compression (§8.2): re-encode every block as its distinct value
-    * tuples, each attached with a multiplicity counter `__cnt`. The
-    * relational version is recoverable exactly (see [[compressedFlatten]]).
-    */
-  def compressed: DataFrame = {
-    val rows = flatten
-      .groupBy(schema.attrs.map(F.col): _*)
-      .agg(F.count(F.lit(1)).as("__cnt"))
-    rows
-      .groupBy(schema.key.map(F.col): _*)
-      .agg(F.collect_list(F.struct((schema.value :+ "__cnt").map(F.col): _*)).as(BLOCK))
-  }
-
-  /** Cells stored under compression (counters included). */
-  def compressedCells: Long = {
-    val c = compressed
-    val tuples = c.agg(F.sum(F.size(F.col(BLOCK)))).head()
-    val nTuples = if (tuples.isNullAt(0)) 0L else tuples.getLong(0)
-    c.count() * schema.key.size + nTuples * (schema.value.size + 1)
-  }
-
-  /** Expand a compressed instance back to its relational version. */
-  def compressedFlatten: DataFrame = {
-    val exploded = compressed.withColumn("__t", F.explode(F.col(BLOCK)))
-    val rows = exploded.select(
-      schema.key.map(F.col) ++
-        (schema.value :+ "__cnt").map(v => F.col(s"__t.$v").as(v)): _*)
-    rows
-      .withColumn("__dup", F.expr("explode(array_repeat(1, int(__cnt)))"))
-      .select(schema.attrs.map(F.col): _*)
-  }
-
-  /** Per-block group-by statistics (§8.2): min / max / sum / count of the
-    * given numeric value attributes, aggregated per key — Zidian uses
-    * these to answer aggregate queries grouped by the block key without
-    * touching the tuples.
-    */
-  def blockStats(numericValueAttrs: Seq[String]): DataFrame = {
-    require(numericValueAttrs.forall(schema.value.contains),
-            "stats attrs must be value attributes")
-    val aggs = numericValueAttrs.flatMap { a =>
-      Seq(F.min(F.col(a)).as(s"${a}_min"), F.max(F.col(a)).as(s"${a}_max"),
-          F.sum(F.col(a)).as(s"${a}_sum"))
-    } :+ F.count(F.lit(1)).as("block_count")
-    flatten.groupBy(schema.key.map(F.col): _*).agg(aggs.head, aggs.tail: _*)
-  }
 }
 
 object KVInstance {

@@ -31,11 +31,6 @@ final class KVMetrics {
   def addValues(n: Long): Unit = valuesAccessed += n
   def addComm(n: Long): Unit = commCells += n
 
-  def copyInto(other: KVMetrics): Unit = {
-    other.gets += gets; other.valuesAccessed += valuesAccessed
-    other.commCells += commCells; other.kvScans += kvScans; other.taavScans += taavScans
-  }
-
   override def toString: String =
     f"gets=$gets%d #data=$valuesAccessed%d comm=$commMB%.2fMB scans=$scans%d"
 }

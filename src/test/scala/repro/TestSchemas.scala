@@ -46,7 +46,7 @@ object TestSchemas {
       EqConst(a("N", "name"), "GERMANY")),
     projection = Seq(a("PS", "suppkey") -> "suppkey"),
     groupBy = Some(Seq(a("PS", "suppkey"))),
-    aggs = Seq(Agg("sum", Some(a("PS", "supplycost")), "total_cost")),
+    aggs = Seq(Agg(AggFn.Sum, Some(a("PS", "supplycost")), "total_cost")),
   )
 
   /** Q′₁ of Example 5 — Q₁ without the final group-by. */

@@ -44,7 +44,7 @@ class BaselineSpec extends SparkSpec {
       Seq(EqConst(Attr("t1", "t_id"), "55"), EqAttr(Attr("t1", "t_vid"), Attr("t2", "t_vid"))),
       Seq(Attr("t2", "t_result") -> "result"),
       Some(Seq(Attr("t2", "t_result"))),
-      Seq(Agg("count", None, "cnt")))
+      Seq(Agg(AggFn.Count, None, "cnt")))
     val (df, m) = env.baseline.answer(q, env.taav)
     assert(df.count() >= 1)
     assert(m.taavScans == 1)

@@ -53,7 +53,7 @@ class AttrClassesSpec extends AnyFunSuite {
 
   test("range-predicate attributes are registered but unconstrained") {
     val q = Query("rng", Seq(RelAtom("SUPPLIER", "S")),
-      Seq(CmpConst(a("S", "suppkey"), ">", "5")), Seq(a("S", "suppkey") -> "sk"))
+      Seq(CmpConst(a("S", "suppkey"), CmpOp.Gt, "5")), Seq(a("S", "suppkey") -> "sk"))
     val c = new AttrClasses(q)
     assert(c.allAttrs.contains(a("S", "suppkey")))
     assert(c.constOf(a("S", "suppkey")).isEmpty)

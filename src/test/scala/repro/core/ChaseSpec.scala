@@ -60,7 +60,7 @@ class ChaseSpec extends AnyFunSuite {
 
   test("a range predicate does not seed the chase") {
     val ranged = q1.copy(preds = q1.preds.map {
-      case EqConst(at, v) => CmpConst(at, ">=", v)
+      case EqConst(at, v) => CmpConst(at, CmpOp.Ge, v)
       case p              => p
     })
     val res = Chase.run(ranged, r1, cat)

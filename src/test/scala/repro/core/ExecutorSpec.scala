@@ -1,7 +1,7 @@
 package repro.core
 
 import java.sql.Date
-import repro.{Oracle, SparkSpec, TestSchemas, TwoPaths}
+import repro.{Oracle, SparkSpec, TwoPaths}
 import repro.TestSchemas._
 import repro.baseline.SqlOverNoSql
 import repro.benchutil.Harness
@@ -77,7 +77,7 @@ class ExecutorSpec extends SparkSpec {
     val q = Query("scan", Seq(RelAtom("PARTSUPP", "PS")), Nil,
       Seq(Attr("PS", "suppkey") -> "sk"),
       Some(Seq(Attr("PS", "suppkey"))),
-      Seq(Agg("sum", Some(Attr("PS", "supplycost")), "tot")))
+      Seq(Agg(AggFn.Sum, Some(Attr("PS", "supplycost")), "tot")))
     val (df, exec) = runPlan(PlanGen.plan(q, r1, cat))
     assert(df.count() == 3)
     assert(exec.metrics.kvScans == 1)
@@ -95,15 +95,14 @@ class ExecutorSpec extends SparkSpec {
   }
 
   test("clo-reconstruction produces the same answer as direct SQL") {
-    import s.implicits._
     val ps1 = KVSchema("ps_a", "PARTSUPP", Seq("suppkey"), Seq("partkey", "availqty"))
     val ps2 = KVSchema("ps_b", "PARTSUPP", Seq("partkey", "suppkey"), Seq("supplycost"))
     val sch = BaaVSchema(Seq(ps1, ps2))
     val q = Query("recon", Seq(RelAtom("PARTSUPP", "PS")),
-      Seq(CmpConst(Attr("PS", "availqty"), ">", "2")),
+      Seq(CmpConst(Attr("PS", "availqty"), CmpOp.Gt, "2")),
       Seq(Attr("PS", "suppkey") -> "sk"),
       Some(Seq(Attr("PS", "suppkey"))),
-      Seq(Agg("sum", Some(Attr("PS", "supplycost")), "tot")))
+      Seq(Agg(AggFn.Sum, Some(Attr("PS", "supplycost")), "tot")))
     val zp = PlanGen.plan(q, sch, cat)
     assert(zp.aliasModes("PS") == AliasMode.KVScanExtend)
     val store2 = BaaVStore.build(sch, data, materialize = false)
@@ -114,7 +113,7 @@ class ExecutorSpec extends SparkSpec {
   }
 
   test("a residual predicate that cannot filter at fetch time still applies") {
-    val q = q1Prime.copy(preds = q1Prime.preds :+ CmpConst(Attr("PS", "supplycost"), ">", "5"))
+    val q = q1Prime.copy(preds = q1Prime.preds :+ CmpConst(Attr("PS", "supplycost"), CmpOp.Gt, "5"))
     val (df, exec) = runPlan(PlanGen.plan(q, r1, cat))
     import s.implicits._
     val got = df.as[(Long, Double)].collect().toSet
@@ -167,7 +166,7 @@ class ExecutorSpec extends SparkSpec {
 
   test("both paths keep duplicate tuples of a block (bag multiplicity)") {
     import s.implicits._
-    val ps = data("PARTSUPP").unionByName(Seq((101L, 10L, 7.0, 2)).toDF(data("PARTSUPP").columns: _*))
+    val ps = data("PARTSUPP").unionByName(Seq((101L, 10L, 7.0, 2)).toDF(data("PARTSUPP").columns.toIndexedSeq: _*))
     val (rows, m) = bothPaths(q1, BaaVStore.build(r1, withRel("PARTSUPP", ps), materialize = false))
     assert(rows == Seq("10|19.000000", "30|12.000000"))
     assert(m.valuesAccessed == 2 + 3 + 20)
@@ -202,7 +201,7 @@ class ExecutorSpec extends SparkSpec {
     def query(col: String, v: String, out: String) = Query(s"by_$col",
       Seq(RelAtom("EVENT", "e")), Seq(EqConst(Attr("e", col), v)),
       Seq(Attr("e", out) -> out), Some(Seq(Attr("e", out))),
-      Seq(Agg("sum", Some(Attr("e", "qty")), "total")))
+      Seq(Agg(AggFn.Sum, Some(Attr("e", "qty")), "total")))
     def run(q: Query) = bothPaths(q, store, evSchema, evCat, evTaav)._1
     // '2024-3-5' is not ISO-8601, but Spark's date cast accepts it.
     assert(run(query("day", "2024-3-5", "city")) == Seq("LYON|4.000000", "PARIS|3.000000"))
@@ -256,7 +255,7 @@ class ExecutorSpec extends SparkSpec {
 
   test("a bounded read after insert or delete sees the write") {
     import s.implicits._
-    val cols = data("PARTSUPP").columns
+    val cols = data("PARTSUPP").columns.toIndexedSeq
     val z = new Zidian(cat, r1)
     val store = BaaVStore.build(r1, data, materialize = false)
     assert(Oracle.canon(z.answer(q1, store, taav, s).df) == Seq("10|12.000000", "30|12.000000"))
@@ -332,7 +331,7 @@ class ExecutorSpec extends SparkSpec {
 
   test("both paths: avg is DECIMAL(22,6), rounded half up") {
     val rows = evRows(evQuery("avg", Seq(EqConst(e("day"), "2024-03-05")), Seq("city"), Some(Seq("city")),
-      Seq(Agg("avg", Some(e("qty")), "mean_qty"), Agg("avg", Some(e("price")), "mean_price"))))
+      Seq(Agg(AggFn.Avg, Some(e("qty")), "mean_qty"), Agg(AggFn.Avg, Some(e("price")), "mean_price"))))
     // PARIS: qty 5/3; prices 2.68 + 0.13 + 1.01 after the DECIMAL(18,2) cast.
     assert(rows.toSet == Set(Seq("PARIS", dec("1.666667"), dec("1.273333")),
                              Seq("LYON", dec("4.000000"), dec("0.340000"))))
@@ -340,17 +339,17 @@ class ExecutorSpec extends SparkSpec {
 
   test("both paths: min and max over a date and over a string") {
     val byDay = evRows(evQuery("date_range", Seq(EqConst(e("city"), "PARIS")), Seq("city"), Some(Seq("city")),
-      Seq(Agg("min", Some(e("day")), "first"), Agg("max", Some(e("day")), "last"))))
+      Seq(Agg(AggFn.Min, Some(e("day")), "first"), Agg(AggFn.Max, Some(e("day")), "last"))))
     assert(byDay == Seq(Seq("PARIS", day("2024-03-05"), day("2024-03-06"))))
     val byCity = evRows(evQuery("city_range", Seq(EqConst(e("day"), "2024-03-07")), Seq("day"), Some(Seq("day")),
-      Seq(Agg("min", Some(e("city")), "first"), Agg("max", Some(e("city")), "last"))))
+      Seq(Agg(AggFn.Min, Some(e("city")), "first"), Agg(AggFn.Max, Some(e("city")), "last"))))
     // UTF-8 order: U+1F600 (F0 ..) sorts after U+FF21 (EF ..); in UTF-16 it is before.
     assert(byCity == Seq(Seq(day("2024-03-07"), "Zurich", "\uD83D\uDE00")))
   }
 
   test("both paths: sum over a DOUBLE rounds each value at the third decimal") {
     val rows = evRows(evQuery("total", Seq(EqConst(e("city"), "PARIS")), Seq("city"), Some(Seq("city")),
-      Seq(Agg("sum", Some(e("price")), "total"))))
+      Seq(Agg(AggFn.Sum, Some(e("price")), "total"))))
     // 2.675, 0.125, 1.005 and 1.0 cast to 2.68, 0.13, 1.01 and 1.00.
     assert(rows == Seq(Seq("PARIS", dec("4.82"))))
   }
@@ -359,13 +358,13 @@ class ExecutorSpec extends SparkSpec {
     def ids(seed: Pred, residual: Pred): Set[Any] =
       evRows(evQuery("range", Seq(seed, residual), Seq("ev_id"))).map(_.head).toSet
     val paris = EqConst(e("city"), "PARIS")
-    assert(ids(paris, CmpConst(e("day"), "<>", "2024-03-05")) == Set(5L))
-    assert(ids(paris, CmpConst(e("day"), "<", "2024-03-06")) == Set(1L, 2L, 3L))
-    assert(ids(paris, CmpConst(e("day"), ">=", "2024-03-06")) == Set(5L))
+    assert(ids(paris, CmpConst(e("day"), CmpOp.Ne, "2024-03-05")) == Set(5L))
+    assert(ids(paris, CmpConst(e("day"), CmpOp.Lt, "2024-03-06")) == Set(1L, 2L, 3L))
+    assert(ids(paris, CmpConst(e("day"), CmpOp.Ge, "2024-03-06")) == Set(5L))
     val mar7 = EqConst(e("day"), "2024-03-07")
-    assert(ids(mar7, CmpConst(e("city"), "<>", "avignon")) == Set(6L, 7L, 8L))
-    assert(ids(mar7, CmpConst(e("city"), ">", "Zurich")) == Set(7L, 8L, 9L, 10L))
-    assert(ids(mar7, CmpConst(e("city"), "<", "\uFF21")) == Set(6L, 9L, 10L))
+    assert(ids(mar7, CmpConst(e("city"), CmpOp.Ne, "avignon")) == Set(6L, 7L, 8L))
+    assert(ids(mar7, CmpConst(e("city"), CmpOp.Gt, "Zurich")) == Set(7L, 8L, 9L, 10L))
+    assert(ids(mar7, CmpConst(e("city"), CmpOp.Lt, "\uFF21")) == Set(6L, 9L, 10L))
   }
 
   test("both paths: a residual equality across INT and BIGINT columns") {
@@ -385,14 +384,14 @@ class ExecutorSpec extends SparkSpec {
 
   test("both paths: a global aggregate over an empty body gives one row") {
     val rows = evRows(evQuery("none", Seq(EqConst(e("city"), "ATLANTIS")), Nil, Some(Nil),
-      Seq(Agg("count", None, "n"), Agg("count", Some(e("ref")), "refs"), Agg("sum", Some(e("price")), "total"),
-          Agg("min", Some(e("day")), "first"), Agg("avg", Some(e("qty")), "mean"))))
+      Seq(Agg(AggFn.Count, None, "n"), Agg(AggFn.Count, Some(e("ref")), "refs"), Agg(AggFn.Sum, Some(e("price")), "total"),
+          Agg(AggFn.Min, Some(e("day")), "first"), Agg(AggFn.Avg, Some(e("qty")), "mean"))))
     assert(rows == Seq(Seq(0L, 0L, null, null, null)))
   }
 
   test("both paths: a group-by over an empty body gives no rows") {
     val q = evQuery("none_by_day", Seq(EqConst(e("city"), "ATLANTIS")), Seq("day"), Some(Seq("day")),
-      Seq(Agg("count", None, "n")))
+      Seq(Agg(AggFn.Count, None, "n")))
     assert(evRows(q).isEmpty)
   }
 }

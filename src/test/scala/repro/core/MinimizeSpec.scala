@@ -61,7 +61,7 @@ class MinimizeSpec extends AnyFunSuite {
     val smallCat = Catalog(Seq(RelSchema("R", Seq("A" -> LongT, "B" -> LongT), Nil)))
     // R2 carries a range on its B: dropping it would change the semantics.
     val q = Query("rng", Seq(RelAtom("R", "R1"), RelAtom("R", "R2")),
-      Seq(EqAttr(a("R1", "A"), a("R2", "A")), CmpConst(a("R2", "B"), ">", "5")),
+      Seq(EqAttr(a("R1", "A"), a("R2", "A")), CmpConst(a("R2", "B"), CmpOp.Gt, "5")),
       Seq(a("R1", "A") -> "A"), distinct = true)
     val m = Minimize.minimize(q, smallCat)
     assert(m.aliases.contains("R2"))

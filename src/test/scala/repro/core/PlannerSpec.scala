@@ -49,7 +49,7 @@ class PlannerSpec extends AnyFunSuite {
     val q = Query("scan", Seq(RelAtom("PARTSUPP", "PS")), Nil,
       Seq(a("PS", "suppkey") -> "sk"),
       Some(Seq(a("PS", "suppkey"))),
-      Seq(Agg("sum", Some(a("PS", "supplycost")), "tot")))
+      Seq(Agg(AggFn.Sum, Some(a("PS", "supplycost")), "tot")))
     val zp = PlanGen.plan(q, r1, cat)
     assert(!zp.scanFree)
     assert(zp.aliasModes("PS") == AliasMode.KVScan)
@@ -71,10 +71,10 @@ class PlannerSpec extends AnyFunSuite {
     val ps2 = KVSchema("ps_b", "PARTSUPP", Seq("partkey", "suppkey"), Seq("supplycost"))
     val sch = BaaVSchema(Seq(ps1, ps2))
     val q = Query("recon", Seq(RelAtom("PARTSUPP", "PS")),
-      Seq(CmpConst(a("PS", "availqty"), ">", "0")),
+      Seq(CmpConst(a("PS", "availqty"), CmpOp.Gt, "0")),
       Seq(a("PS", "partkey") -> "pk"),
       Some(Seq(a("PS", "partkey"))),
-      Seq(Agg("sum", Some(a("PS", "supplycost")), "tot")))
+      Seq(Agg(AggFn.Sum, Some(a("PS", "supplycost")), "tot")))
     val zp = PlanGen.plan(q, sch, cat)
     assert(zp.aliasModes("PS") == AliasMode.KVScanExtend)
     zp.body match {

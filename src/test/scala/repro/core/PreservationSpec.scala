@@ -3,7 +3,6 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestSchemas._
 import repro.core.model._
-import repro.core.model.ColType._
 import repro.core.preserve.{Closure, Preservation}
 import repro.core.query._
 

@@ -8,7 +8,6 @@ import repro.core.scanfree.ScanFree
 import repro.data.Workloads
 
 class ScanFreeSpec extends AnyFunSuite {
-  private def a(al: String, c: String) = Attr(al, c)
 
   test("Q1' is scan-free over ~R1 (Example 6)") {
     val rep = ScanFree.check(q1Prime, r1, cat)

@@ -3,7 +3,6 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestSchemas._
 import repro.core.model.Attr
-import repro.core.model.ColType._
 import repro.core.query._
 
 /** The generated SQL must run identically on Spark (typed views) and
@@ -35,7 +34,7 @@ class SqlGenSpec extends AnyFunSuite {
   }
 
   test("count(*) needs no cast") {
-    val q = q1.copy(aggs = Seq(Agg("count", None, "cnt")))
+    val q = q1.copy(aggs = Seq(Agg(AggFn.Count, None, "cnt")))
     assert(SqlGen.toSql(q, cat).contains("COUNT(*) AS cnt"))
   }
 
@@ -55,7 +54,7 @@ class SqlGenSpec extends AnyFunSuite {
   test("date literals use the DATE keyword") {
     import repro.data.TpchLite
     val q = Query("t", Seq(RelAtom("orders", "o")),
-      Seq(CmpConst(a("o", "o_orderdate"), "<", "1995-03-15")),
+      Seq(CmpConst(a("o", "o_orderdate"), CmpOp.Lt, "1995-03-15")),
       Seq(a("o", "o_orderkey") -> "ok"), distinct = true)
     val sql = SqlGen.toSql(q, TpchLite.catalog)
     assert(sql.contains("CAST(o.o_orderdate AS DATE) < DATE '1995-03-15'"))
@@ -68,7 +67,7 @@ class SqlGenSpec extends AnyFunSuite {
 
   test("range operators pass through") {
     val q = Query("t", Seq(RelAtom("SUPPLIER", "S")),
-      Seq(CmpConst(a("S", "suppkey"), "<>", "3")), Seq(a("S", "suppkey") -> "sk"))
+      Seq(CmpConst(a("S", "suppkey"), CmpOp.Ne, "3")), Seq(a("S", "suppkey") -> "sk"))
     assert(SqlGen.toSql(q, cat).contains("CAST(S.suppkey AS BIGINT) <> 3"))
   }
 }

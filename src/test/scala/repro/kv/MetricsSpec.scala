@@ -16,13 +16,6 @@ class MetricsSpec extends AnyFunSuite {
     assert(m.commMB == 8.0)
   }
 
-  test("copyInto accumulates counters") {
-    val a = metrics(5, 10); a.kvScans = 1
-    val b = metrics(2, 3)
-    a.copyInto(b)
-    assert(b.gets == 7 && b.valuesAccessed == 13 && b.kvScans == 1)
-  }
-
   test("storageSeconds divides across workers (parallel scalability, Thm 8)") {
     val m = metrics(1000, 10000)
     val t4 = Backend.SoH.storageSeconds(m, 4)
