@@ -57,18 +57,12 @@ final class Env(
 
 object Harness {
 
-  /** Degree threshold c for boundedness checks: covers the stable-ratio
-    * instances of MOT/AIRCA (max ≈ flights-per-tail = 75) and excludes
-    * anything that grows with |D|.
-    */
-  val BoundedDegree = 100L
-
   def buildEnv(ds: Dataset, spark: SparkSession, sf: Double): Env = {
     val data = ds.dataAt(spark, sf)
     val taav = TaaVStore.build(ds.catalog, data)
     val baav = BaaVStore.build(ds.baavSchema, data)
     new Env(ds, spark, sf, taav, baav,
-      new Zidian(ds.catalog, ds.baavSchema, BoundedDegree),
+      new Zidian(ds.catalog, ds.baavSchema),
       new SqlOverNoSql(ds.catalog, spark))
   }
 
@@ -79,15 +73,13 @@ object Harness {
     collected(env, wq, t0, df, m, scanFree = false, bounded = false)
   }
 
-  /** Evaluate `wq` with Zidian, timing the answer and its collect, then
-    * release the frames its executor cached.
+  /** Evaluate `wq` with Zidian, timing the answer and its collect: a
+    * scan-free plan in process, any other as Spark jobs.
     */
   def runZidian(env: Env, wq: WorkQuery): QueryRun = {
     val t0 = System.nanoTime()
     val ans = env.zidian.answer(wq.q, env.baav, env.taav, env.spark)
-    try collected(env, wq, t0, ans.df, ans.metrics, ans.plan.scanFree,
-                  ans.decision.bounded.getOrElse(false))
-    finally ans.executor.cleanup()
+    collected(env, wq, t0, ans.df, ans.metrics, ans.plan.scanFree, ans.decision.bounded.getOrElse(false))
   }
 
   /** Collect `df`, as a client does, and stop the clock started at `t0`. */

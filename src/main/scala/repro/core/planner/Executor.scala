@@ -22,22 +22,25 @@ import scala.jdk.CollectionConverters._
   *
   * Frames have alias-qualified columns (`alias__col`). Extension `∝` takes
   * the frontier's distinct keys, "ships" them to the storage nodes (counted
-  * as comm + one get per key), fetches only the matching blocks (counted as
-  * values), explodes them and joins back — data access and computation are
-  * interleaved instead of fetch-all-first. A plan runs on one of two
-  * paths, which count the same #get/#data/comm and give the same answer,
-  * column names and types included:
+  * as comm + one get per key), looks up only the blocks they name in the
+  * instance's key index ([[KVInstance.blocksByKey]], counted as values),
+  * explodes them and joins back — data access and computation are
+  * interleaved instead of fetch-all-first. That lookup ([[fetch]]) is the
+  * one body of `∝`. [[run]] picks a plan's path by scan-freeness:
   *
-  *  - [[runInProcess]], for bounded plans: every frontier is capped by the
-  *    degree bound whatever |D| (§6.1), so the whole plan is evaluated in
-  *    process over local row sets. Each `∝` looks its keys up in the
-  *    instance's key index ([[KVInstance.blocksByKey]]), and the residual
-  *    σ/π/group-by evaluates Catalyst's own expressions over the body's
-  *    rows. The answer is a local relation of the result rows: a warm read
-  *    runs no Spark job, collect included.
-  *  - [[run]], for every other plan: each operator is DataFrame code, so
-  *    Catalyst plans the physical execution and parallelism follows Spark's
-  *    partitioning. An `∝` whose frontier is empty fetches nothing.
+  *  - a scan-free plan reads the store only through key lookups (Prop. 7),
+  *    so it is evaluated wholly in process over local row sets, and the
+  *    residual σ/π/group-by evaluates Catalyst's own expressions over the
+  *    body's rows. The answer is a local relation of the result rows: a
+  *    warm read runs no Spark job, collect included.
+  *  - a plan that scans runs as DataFrame code, so Catalyst plans the
+  *    physical execution and parallelism follows Spark's partitioning. Its
+  *    scan-free sub-plans are still evaluated in process; an `∝` over a
+  *    scanned frame collects the frame's distinct keys by one job, looks
+  *    them up in process and joins the fetched rows back as a local
+  *    relation.
+  *
+  * Body rows and key indexes are held in this process's memory.
   */
 final class Executor(
     spark: SparkSession,
@@ -49,21 +52,21 @@ final class Executor(
   import Executor._
 
   private val memo = mutable.Map.empty[(KPlan, String), DataFrame]
-  private val cachedFrames = mutable.Buffer.empty[DataFrame]
-
-  /** Unpersist intermediate caches created by extensions. */
-  def cleanup(): Unit = {
-    cachedFrames.foreach(_.unpersist())
-    cachedFrames.clear()
-  }
+  private val localMemo = mutable.Map.empty[(KPlan, String), Local]
 
   private def typedLit(q: Query, v: String, a: Attr): Column =
     F.lit(v).cast(sparkType(q.typeOf(a, cat)))
 
   /** Evaluate a full plan: run the body, then apply the query's residual
     * predicates, projection and aggregation (idempotent re-application).
+    * A scan-free plan runs in process, any other as Spark jobs.
     */
-  def run(zp: ZPlan): DataFrame = finish(frame(zp.body, zp.q), zp.q)
+  def run(zp: ZPlan): DataFrame =
+    if (zp.scanFree) {
+      val (schema, rows) = residual(local(zp.body, zp.q), zp.q)
+      val toScala = CatalystTypeConverters.createToScalaConverter(schema)
+      spark.createDataFrame(rows.map(r => toScala(r).asInstanceOf[Row]).asJava, schema)
+    } else finish(frame(zp.body, zp.q), zp.q)
 
   /** The frame of a sub-plan (memoized per query so shared chase prefixes
     * execute once).
@@ -73,50 +76,13 @@ final class Executor(
 
   private def compute(p: KPlan, q: Query): DataFrame = p match {
 
-    case KConst(bindings) =>
-      val base = spark.range(1).toDF("__unit")
-      val withCols = bindings.foldLeft(base) { case (df, (a, v)) =>
-        df.withColumn(a.field, typedLit(q, v, a))
-      }
-      withCols.drop("__unit")
-
-    case KExtend(input, alias, kv, keyMap) =>
+    case e @ KExtend(input, _, _, keyMap) if scans(input) =>
       val in = frame(input, q)
-      // (a) project + distinct the frontier to the key columns and ship it.
-      val keyCols = keyMap.map {
-        case (kcol, FromAttr(a))      => F.col(a.field).as(kcol)
-        case (kcol, FromConst(v, ta)) => typedLit(q, v, ta).as(kcol)
-      }
-      val keys = in.select(keyCols: _*).distinct().cache()
-      cachedFrames += keys
-      val nKeys = keys.count()
-      metrics.addGets(nKeys)
-      metrics.addComm(nKeys * kv.key.size)
-      // (b) at the storage nodes, retrieve only the needed keyed blocks;
-      //     an empty frontier names none, so it fetches nothing.
-      val inst = baav(kv.name)
-      val exploded =
-        if (nKeys == 0)
-          spark.createDataFrame(List.empty[Row].asJava, StructType(explodedFields(inst, alias)))
-        else {
-          val matched = inst.blocked.join(keys, kv.key.toSeq).cache()
-          cachedFrames += matched
-          val counts = matched
-            .agg(F.count(F.lit(1)), F.sum(F.size(F.col(KVInstance.BLOCK)))).head()
-          val segs = counts.getLong(0)
-          val fetchedTuples = if (counts.isNullAt(1)) 0L else counts.getLong(1)
-          val fetchedCells = fetchedTuples * kv.value.size + segs * kv.key.size
-          metrics.addValues(fetchedCells)
-          metrics.addComm(fetchedCells)
-          // (c) explode into alias-qualified rows.
-          matched
-            .withColumn("__t", F.explode(F.col(KVInstance.BLOCK)))
-            .select(kv.key.map(c => F.col(c).as(Attr(alias, c).field)) ++
-              kv.value.map(c => F.col(s"__t.$c").as(Attr(alias, c).field)): _*)
-        }
-      // Join the fetched rows back to the frontier.
-      val joinPairs = keyMap.collect { case (kcol, FromAttr(a)) => (a, Attr(alias, kcol)) }
-      joinFrames(in, exploded, joinPairs)
+      // The frontier's distinct key columns, collected by one job.
+      val keys = in.select(keyMap.collect { case (_, FromAttr(a)) => a.field }.distinct.map(F.col): _*)
+        .distinct()
+      val frontier = Local(keys.schema.fields.toVector, keys.collect().toVector.map(_.toSeq.toVector))
+      joinFrames(in, toFrame(fetch(frontier, e, q)), joinPairs(e))
 
     case KScanKV(alias, kv) =>
       val inst = baav(kv.name)
@@ -130,9 +96,15 @@ final class Executor(
       val df = taav.scan(rel, metrics)
       df.select(cols.map(c => F.col(c).as(Attr(alias, c).field)): _*)
 
-    case KJoin(l, r, on) =>
-      joinFrames(frame(l, q), frame(r, q), on.map { case (a, b) => (a, b) })
+    case KJoin(l, r, on) if scans(p) =>
+      joinFrames(frame(l, q), frame(r, q), on)
+
+    case _ => toFrame(local(p, q)) // a scan-free sub-plan, evaluated in process
   }
+
+  /** A local relation of `l`'s rows. */
+  private def toFrame(l: Local): DataFrame =
+    spark.createDataFrame(l.rows.map(Row.fromSeq).asJava, StructType(l.fields))
 
   /** Join two alias-qualified frames on (a) their shared column names and
     * (b) the explicit attr pairs; cross join when no condition applies.
@@ -161,24 +133,10 @@ final class Executor(
 
   // ------------------------------------------------------ in-process path
 
-  private val localMemo = mutable.Map.empty[(KPlan, String), Local]
-
-  /** Evaluate a bounded plan wholly in process: the body over local row
-    * sets, then the query's residual predicates, projection and
-    * aggregation over the body's rows ([[residual]]). The answer is a
-    * local relation of the result rows, so collecting it launches no Spark
-    * job. The plan must be scan-free.
-    */
-  def runInProcess(zp: ZPlan): DataFrame = {
-    val (schema, rows) = residual(local(zp.body, zp.q), zp.q)
-    val toScala = CatalystTypeConverters.createToScalaConverter(schema)
-    spark.createDataFrame(rows.map(r => toScala(r).asInstanceOf[Row]).asJava, schema)
-  }
-
   private def local(p: KPlan, q: Query): Local =
     localMemo.getOrElseUpdate((p, q.name), computeLocal(p, q))
 
-  /** The operators of [[compute]] over local rows, with the same metrics. */
+  /** The operators of a scan-free plan over local rows. */
   private def computeLocal(p: KPlan, q: Query): Local = p match {
 
     case KConst(bindings) =>
@@ -186,47 +144,53 @@ final class Executor(
       Local(typed.map { case (a, t, _) => field(a.field, sparkType(t)) }.toVector,
             Vector(typed.map { case (_, t, v) => constant(v, t) }.toVector))
 
-    case KExtend(input, alias, kv, keyMap) =>
+    case e @ KExtend(input, _, _, _) =>
       val in = local(input, q)
-      // (a) the frontier's distinct keys, shipped down.
-      val srcs: Seq[(Values => Any, DataType)] = keyMap.map {
-        case (_, FromAttr(a)) =>
-          val i = in.at(a.field)
-          ((r: Values) => r(i), in.fields(i).dataType)
-        case (_, FromConst(v, ta)) =>
-          val t = q.typeOf(ta, cat)
-          val c = constant(v, t)
-          ((_: Values) => c, sparkType(t))
-      }
-      val keys = in.rows.map(r => srcs.map(_._1(r))).distinct
-      metrics.addGets(keys.size)
-      metrics.addComm(keys.size.toLong * kv.key.size)
-      // (b) at the storage nodes, look up only the blocks those keys name.
-      //     A key with a null, or with no value of the key column's type,
-      //     names none.
-      val inst = baav(kv.name)
-      val keyFields = inst.keyFields
-      val keyAt = kv.key.map(c => keyMap.indexWhere(_._1 == c))
-      val fetched = keys.flatMap { k =>
-        allOf(keyAt.zip(keyFields).map { case (i, f) => asType(k(i), srcs(i)._2, f.dataType) })
-          .flatMap(stored => inst.blocksByKey.get(stored).map(stored.toVector -> _))
-      }
-      val segs = fetched.map(_._2.size.toLong).sum
-      val fetchedTuples = fetched.map(_._2.map(_.size.toLong).sum).sum
-      val fetchedCells = fetchedTuples * kv.value.size + segs * kv.key.size
-      metrics.addValues(fetchedCells)
-      metrics.addComm(fetchedCells)
-      // (c) explode into alias-qualified rows and join back to the frontier.
-      val exploded = Local(explodedFields(inst, alias),
-        fetched.flatMap { case (key, blocks) => blocks.flatten.map(key ++ _) })
-      val joinPairs = keyMap.collect { case (kcol, FromAttr(a)) => (a, Attr(alias, kcol)) }
-      joinLocal(in, exploded, joinPairs)
+      joinLocal(in, fetch(in, e, q), joinPairs(e))
 
     case KJoin(l, r, on) =>
       joinLocal(local(l, q), local(r, q), on)
 
     case scan =>
       throw new IllegalArgumentException(s"a plan run in process must be scan-free: $scan")
+  }
+
+  /** The storage side of `frontier ∝ ~kv` (§7.2), on either path: ship the
+    * frontier's distinct keys, look up only the blocks they name in the
+    * instance's key index, and explode them into alias-qualified rows. A
+    * key with a null, or with no value of the key column's type, names
+    * none. `frontier` holds at least the columns the keys come from.
+    */
+  private def fetch(frontier: Local, e: KExtend, q: Query): Local = {
+    val KExtend(_, alias, kv, keyMap) = e
+    // (a) the frontier's distinct keys, shipped down.
+    val srcs: Seq[(Values => Any, DataType)] = keyMap.map {
+      case (_, FromAttr(a)) =>
+        val i = frontier.at(a.field)
+        ((r: Values) => r(i), frontier.fields(i).dataType)
+      case (_, FromConst(v, ta)) =>
+        val t = q.typeOf(ta, cat)
+        val c = constant(v, t)
+        ((_: Values) => c, sparkType(t))
+    }
+    val keys = frontier.rows.map(r => srcs.map(_._1(r))).distinct
+    metrics.addGets(keys.size)
+    metrics.addComm(keys.size.toLong * kv.key.size)
+    // (b) at the storage nodes, look up only the blocks those keys name.
+    val inst = baav(kv.name)
+    val keyFields = inst.keyFields
+    val keyAt = kv.key.map(c => keyMap.indexWhere(_._1 == c))
+    val fetched = keys.flatMap { k =>
+      allOf(keyAt.zip(keyFields).map { case (i, f) => asType(k(i), srcs(i)._2, f.dataType) })
+        .flatMap(stored => inst.blocksByKey.get(stored).map(stored.toVector -> _))
+    }
+    val segs = fetched.map(_._2.size.toLong).sum
+    val fetchedTuples = fetched.map(_._2.map(_.size.toLong).sum).sum
+    val fetchedCells = fetchedTuples * kv.value.size + segs * kv.key.size
+    metrics.addValues(fetchedCells)
+    metrics.addComm(fetchedCells)
+    // (c) explode into alias-qualified rows.
+    Local(explodedFields(inst, alias), fetched.flatMap { case (key, blocks) => blocks.flatten.map(key ++ _) })
   }
 
   /** [[joinFrames]] over local rows: an inner equi-join on the shared field
@@ -443,6 +407,18 @@ object Executor {
     */
   private def explodedFields(inst: KVInstance, alias: String): Vector[StructField] =
     (inst.keyFields ++ inst.valueFields).map(f => field(Attr(alias, f.name).field, f.dataType)).toVector
+
+  /** Whether `p` reads a whole KV instance or relation. */
+  private def scans(p: KPlan): Boolean = p match {
+    case KConst(_)                => false
+    case KExtend(in, _, _, _)     => scans(in)
+    case KJoin(l, r, _)           => scans(l) || scans(r)
+    case _: KScanKV | _: KScanRel => true
+  }
+
+  /** The pairs joining `e`'s fetched rows back to its frontier. */
+  private def joinPairs(e: KExtend): Seq[(Attr, Attr)] =
+    e.keyMap.collect { case (kcol, FromAttr(a)) => (a, Attr(e.alias, kcol)) }
 
   private def allOf(xs: Seq[Option[Any]]): Option[Seq[Any]] =
     if (xs.contains(None)) None else Some(xs.flatten)

@@ -23,7 +23,6 @@ final case class ZidianAnswer(
     metrics: KVMetrics,
     plan: ZPlan,
     decision: Decision,
-    executor: Executor,
 )
 
 /** The Zidian middleware facade (§5.1): given an SQL (RA_aggr) query on the
@@ -31,9 +30,13 @@ final case class ZidianAnswer(
   * boundedness and generate a KBA plan (M2), and execute it interleaved
   * over the BaaV store (M3), falling back to TaaV scans per alias where
   * the BaaV schema does not cover the query.
+  *
+  * `boundedDegree` is the degree threshold c of the boundedness decision.
+  * The default covers the stable-ratio instances of MOT/AIRCA (max ≈
+  * flights-per-tail = 75) and excludes anything that grows with |D|.
   */
 final class Zidian(val cat: Catalog, val schema: BaaVSchema,
-                   val boundedDegree: Long = 64) {
+                   val boundedDegree: Long = 100) {
 
   /** M1/M2 static decisions (no store access beyond degrees). */
   def decide(q: Query, store: Option[BaaVStore]): (Decision, ZPlan) = {
@@ -78,15 +81,15 @@ final class Zidian(val cat: Catalog, val schema: BaaVSchema,
   }
 
   /** Plan and execute `q` over the stores. Storage-access metrics are
-    * recorded while the plan is interpreted; the returned DataFrame is the
-    * (lazily materialized) answer. A bounded plan fetches a number of blocks
-    * independent of |D|, so its body runs in process; any other plan
-    * runs as Spark jobs.
+    * recorded while the plan is interpreted. A scan-free plan reads the
+    * store only through key lookups (Prop. 7), so it runs in process and
+    * the returned DataFrame is a local relation of the answer's rows; any
+    * other plan runs as Spark jobs and its answer is materialized lazily.
+    * Boundedness is reported in the decision and does not pick the path.
     */
   def answer(q: Query, baav: BaaVStore, taav: TaaVStore, spark: SparkSession): ZidianAnswer = {
     val (decision, plan) = decide(q, Some(baav))
     val exec = new Executor(spark, cat, baav, taav)
-    val df = if (decision.bounded.contains(true)) exec.runInProcess(plan) else exec.run(plan)
-    ZidianAnswer(df, exec.metrics, plan, decision, exec)
+    ZidianAnswer(exec.run(plan), exec.metrics, plan, decision)
   }
 }

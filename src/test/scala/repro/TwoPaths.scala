@@ -1,43 +1,34 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Row, SparkSession}
 import org.scalatest.Assertions
+import repro.baseline.SqlOverNoSql
 import repro.core.query.Query
 import repro.kv.{BaaVStore, KVMetrics, TaaVStore}
 import repro.zidian.Zidian
 
-/** Runs a bounded query on both execution paths — in process, and as
-  * Spark jobs (the same planner with `boundedDegree = 0`, which makes no
-  * plan bounded) — and asserts they give the same answer and the same
-  * storage counters.
+/** Answers a scan-free query on two paths — Zidian's, in process over the
+  * BaaV store, and the baseline's SparkSQL over the TaaV store — and
+  * asserts they give the same answer, and that Zidian scans nothing.
   */
 object TwoPaths extends Assertions {
 
-  /** The canonical answer rows and the counters of the in-process run.
-    * The answers must have the same column names and data types, the same
-    * bag of collected rows, and the same canonical rows.
+  /** The canonical answer rows and Zidian's counters. The answers must have
+    * the same column names and data types and the same bag of collected
+    * rows.
     */
   def check(z: Zidian, q: Query, baav: BaaVStore, taav: TaaVStore,
             spark: SparkSession): (Seq[String], KVMetrics) = {
-    val inProcess = z.answer(q, baav, taav, spark)
-    val onSpark = new Zidian(z.cat, z.schema, boundedDegree = 0).answer(q, baav, taav, spark)
-    try {
-      assert(inProcess.decision.bounded.contains(true), s"${q.name} must be bounded")
-      assert(onSpark.decision.bounded.contains(false), s"${q.name} must run as Spark jobs")
-      val (got, want) = (inProcess.df, onSpark.df)
-      assert(got.columns.toSeq == want.columns.toSeq, s"${q.name}: the two paths' columns differ")
-      assert(got.schema.map(_.dataType) == want.schema.map(_.dataType),
-             s"${q.name}: the two paths' column types differ")
-      val (gotRows, wantRows) = (got.collect().toSeq, want.collect().toSeq)
-      def bag(rows: Seq[org.apache.spark.sql.Row]) = rows.groupBy(identity).view.mapValues(_.size).toMap
-      assert(bag(gotRows) == bag(wantRows),
-             s"${q.name}: the two paths' rows differ: $gotRows vs $wantRows")
-      val rows = Oracle.canon(got.columns.toSeq, gotRows)
-      assert(rows == Oracle.canon(want.columns.toSeq, wantRows), s"${q.name}: the two paths' answers differ")
-      def counters(m: KVMetrics) = (m.gets, m.valuesAccessed, m.commCells, m.scans)
-      assert(counters(inProcess.metrics) == counters(onSpark.metrics),
-             s"${q.name}: (gets, #data, comm, scans) differ between the paths")
-      (rows, inProcess.metrics)
-    } finally onSpark.executor.cleanup()
+    val ans = z.answer(q, baav, taav, spark)
+    assert(ans.plan.scanFree, s"${q.name} must be scan-free")
+    val (got, want) = (ans.df, new SqlOverNoSql(z.cat, spark).answer(q, taav)._1)
+    assert(got.columns.toSeq == want.columns.toSeq, s"${q.name}: the columns differ from the baseline's")
+    assert(got.schema.map(_.dataType) == want.schema.map(_.dataType),
+           s"${q.name}: the column types differ from the baseline's")
+    val (gotRows, wantRows) = (got.collect().toSeq, want.collect().toSeq)
+    def bag(rows: Seq[Row]) = rows.groupBy(identity).view.mapValues(_.size).toMap
+    assert(bag(gotRows) == bag(wantRows), s"${q.name}: the rows differ from the baseline's: $gotRows vs $wantRows")
+    assert(ans.metrics.scans == 0, s"${q.name}: a scan-free plan scanned")
+    (Oracle.canon(got.columns.toSeq, gotRows), ans.metrics)
   }
 }

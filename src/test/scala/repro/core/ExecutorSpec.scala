@@ -110,6 +110,27 @@ class ExecutorSpec extends SparkSpec {
     val got = exec.run(zp).collect()
       .map(r => (r.getLong(0), r.getDecimal(1).doubleValue)).toMap
     assert(got == Map(20L -> 9.0, 30L -> 12.0))
+    // Scan ~ps_a: 3 blocks, 3 key + 6 x 2 value cells. Extend by its 6
+    // distinct (partkey, suppkey) keys, 12 cells shipped: 6 blocks of
+    // 2 key + 1 value cells fetched.
+    val m = exec.metrics
+    assert((m.gets, m.valuesAccessed, m.commCells, m.scans) == (3 + 6, 15 + 18, 15 + 12 + 18, 1))
+  }
+
+  test("a plan mixing an extension with scans counts both") {
+    // Without ~SUPPLIER, S is a TaaV scan and PS a scan of ~PARTSUPP;
+    // only N is fetched, by the ~NATION extension seeded by 'GERMANY'.
+    val sch = BaaVSchema(Seq(kvPartsupp, kvNation))
+    val zp = PlanGen.plan(q1, sch, cat)
+    assert(zp.aliasModes == Map("N" -> AliasMode.ScanFreeFetch, "S" -> AliasMode.TaaVScan,
+                                "PS" -> AliasMode.KVScan))
+    val exec = new Executor(s, cat, BaaVStore.build(sch, data, materialize = false), taav)
+    val got = exec.run(zp).collect().map(r => (r.getLong(0), r.getDecimal(1).doubleValue)).toMap
+    assert(got == Map(10L -> 12.0, 30L -> 12.0))
+    // ∝ ~NATION: 1 key, 2 cells; SUPPLIER: 3 tuples, 6 cells; ~PARTSUPP:
+    // 3 blocks, 3 key + 6 x 3 value cells.
+    val m = exec.metrics
+    assert((m.gets, m.valuesAccessed, m.commCells, m.scans) == (1 + 3 + 3, 2 + 6 + 21, 1 + 2 + 6 + 21, 2))
   }
 
   test("a residual predicate that cannot filter at fetch time still applies") {
@@ -135,7 +156,9 @@ class ExecutorSpec extends SparkSpec {
     assert(exec.metrics.gets == before)
   }
 
-  // ------------------------------------------- in process vs on Spark
+  // ------------------------- Zidian in process vs the baseline on Spark
+  // "Both paths" are Zidian's and the baseline's: TwoPaths asserts the two
+  // answers are equal, and each test asserts Zidian's counters.
 
   private def withRel(rel: String, df: org.apache.spark.sql.DataFrame) = data.updated(rel, df)
 
@@ -143,7 +166,7 @@ class ExecutorSpec extends SparkSpec {
                         c: Catalog = cat, t: TaaVStore = taav) =
     TwoPaths.check(new Zidian(c, sch), q, store, t, s)
 
-  test("both paths agree on the Q1 chain: answer, gets, #data and comm") {
+  test("both paths agree on the Q1 chain, with Zidian's gets, #data and comm") {
     val (rows, m) = bothPaths(q1)
     assert(rows == Seq("10|12.000000", "30|12.000000"))
     assert((m.gets, m.valuesAccessed, m.commCells, m.scans) == (4, 22, 26, 0))
@@ -158,7 +181,8 @@ class ExecutorSpec extends SparkSpec {
     import s.implicits._
     val sup = Seq((Some(10L), 1), (Some(20L), 2), (Some(30L), 1), (None, 1))
       .toDF("suppkey", "nationkey")
-    val (rows, m) = bothPaths(q1, BaaVStore.build(r1, withRel("SUPPLIER", sup), materialize = false))
+    val d = withRel("SUPPLIER", sup)
+    val (rows, m) = bothPaths(q1, BaaVStore.build(r1, d, materialize = false), t = TaaVStore.build(cat, d))
     assert(rows == Seq("10|12.000000", "30|12.000000"))
     // 1 + 1 + 3 frontier keys {10, 30, null}; ~SUPPLIER's block holds 3 tuples.
     assert(m.gets == 5 && m.valuesAccessed == 2 + 4 + 17)
@@ -167,7 +191,8 @@ class ExecutorSpec extends SparkSpec {
   test("both paths keep duplicate tuples of a block (bag multiplicity)") {
     import s.implicits._
     val ps = data("PARTSUPP").unionByName(Seq((101L, 10L, 7.0, 2)).toDF(data("PARTSUPP").columns.toIndexedSeq: _*))
-    val (rows, m) = bothPaths(q1, BaaVStore.build(r1, withRel("PARTSUPP", ps), materialize = false))
+    val d = withRel("PARTSUPP", ps)
+    val (rows, m) = bothPaths(q1, BaaVStore.build(r1, d, materialize = false), t = TaaVStore.build(cat, d))
     assert(rows == Seq("10|19.000000", "30|12.000000"))
     assert(m.valuesAccessed == 2 + 3 + 20)
   }
@@ -214,43 +239,60 @@ class ExecutorSpec extends SparkSpec {
     val z = new Zidian(cat, r1)
     def read() = z.answer(q1, baav, taav, s)
     read().df.collect() // builds the instances' key indexes
-    assert(read().decision.bounded.contains(true))
+    assert(read().plan.scanFree)
     assert(jobsOf(read().df.collect()).isEmpty)
-    // MOT q1-q6, each after one warm-up read of its own.
-    val env = Harness.buildEnv(Workloads.mot, s, 0.002)
-    try for (wq <- Workloads.mot.queries.filter(_.bounded)) {
-      def read() = env.zidian.answer(wq.q, env.baav, env.taav, s)
-      assert(read().decision.bounded.contains(true), wq.q.name)
-      read().df.collect()
-      val jobs = jobsOf(read().df.collect())
-      assert(jobs.isEmpty, s"${wq.q.name} ran Spark jobs $jobs")
-    } finally env.close()
+    // Every scan-free template, bounded or not, after one warm-up read.
+    for (ds <- Workloads.all) {
+      val env = Harness.buildEnv(ds, s, 0.002)
+      try for (wq <- ds.queries.filter(_.scanFree)) {
+        def read() = env.zidian.answer(wq.q, env.baav, env.taav, s)
+        read().df.collect()
+        val jobs = jobsOf(read().df.collect())
+        assert(jobs.isEmpty, s"${ds.name} ${wq.q.name} ran Spark jobs $jobs")
+      } finally env.close()
+    }
   }
 
-  test("an empty frontier on the Spark path skips its fetch job") {
+  test("an empty frontier fetches nothing") {
     // NATION -> SUPPLIER: an out-of-domain name leaves ~SUPPLIER no keys.
-    def query(name: String) = Query(s"suppliers_of_$name",
+    val q = Query("suppliers_of_ATLANTIS",
       Seq(RelAtom("SUPPLIER", "S"), RelAtom("NATION", "N")),
-      Seq(EqAttr(Attr("S", "nationkey"), Attr("N", "nationkey")), EqConst(Attr("N", "name"), name)),
+      Seq(EqAttr(Attr("S", "nationkey"), Attr("N", "nationkey")), EqConst(Attr("N", "name"), "ATLANTIS")),
       Seq(Attr("S", "suppkey") -> "suppkey"))
-    val onSpark = new Zidian(cat, r1, boundedDegree = 0)
-    def read(name: String) = {
-      var ans: repro.zidian.ZidianAnswer = null
-      val jobs = jobsOf { ans = onSpark.answer(query(name), baav, taav, s) }
-      ans.executor.cleanup()
-      (jobs.size, ans.metrics)
+    val ans = new Zidian(cat, r1).answer(q, baav, taav, s)
+    assert(ans.df.collect().isEmpty)
+    // Only the ATLANTIS lookup: no key shipped to ~SUPPLIER, nothing fetched.
+    val m = ans.metrics
+    assert((m.gets, m.valuesAccessed, m.commCells) == (1, 0, 1))
+  }
+
+  test("a warm reconstruction runs one Spark job per extension before collect") {
+    val ps1 = KVSchema("ps_a", "PARTSUPP", Seq("suppkey"), Seq("partkey", "availqty"))
+    val ps2 = KVSchema("ps_b", "PARTSUPP", Seq("partkey", "suppkey"), Seq("supplycost"))
+    val sch = BaaVSchema(Seq(ps1, ps2))
+    val q = Query("recon", Seq(RelAtom("PARTSUPP", "PS")), Nil,
+      Seq(Attr("PS", "availqty") -> "qty", Attr("PS", "supplycost") -> "cost"))
+    val z = new Zidian(cat, sch)
+    val store = BaaVStore.build(sch, data, materialize = false)
+    def extensions(p: KPlan): Int = p match {
+      case KExtend(in, _, _, _) => 1 + extensions(in)
+      case KJoin(l, r, _)       => extensions(l) + extensions(r)
+      case _                    => 0
     }
-    // Without adaptive execution each action is one job, so the count
-    // shows the actions a step runs: the empty step runs its key count only.
+    // Without adaptive execution each action is one job, so the count shows
+    // the actions the plan runs before its answer is collected.
     val aqe = "spark.sql.adaptive.enabled"
     val was = s.conf.get(aqe)
     s.conf.set(aqe, "false")
-    val ((found, _), (missed, m)) =
-      try { read("GERMANY"); read("ATLANTIS"); (read("GERMANY"), read("ATLANTIS")) }
-      finally s.conf.set(aqe, was)
-    assert(missed == found - 1, s"$missed jobs for an empty frontier, $found for a non-empty one")
-    // Only the ATLANTIS lookup: no key shipped to ~SUPPLIER, nothing fetched.
-    assert((m.gets, m.valuesAccessed, m.commCells) == (1, 0, 1))
+    try {
+      z.answer(q, store, taav, s).df.collect() // computes the instances' statistics and key indexes
+      var ans: repro.zidian.ZidianAnswer = null
+      val jobs = jobsOf { ans = z.answer(q, store, taav, s) }
+      assert(ans.plan.aliasModes("PS") == AliasMode.KVScanExtend)
+      assert(extensions(ans.plan.body) == 1)
+      assert(jobs.size == 1, s"jobs $jobs")
+      assert(ans.df.collect().length == 6)
+    } finally s.conf.set(aqe, was)
   }
 
   test("a bounded read after insert or delete sees the write") {

@@ -5,17 +5,21 @@ import repro.{PropHelpers, SparkSpec}
 import repro.core.algebra.RefKba
 import repro.core.model._
 import repro.core.model.ColType.LongT
-import repro.core.planner.{KConst, KExtend, KJoin, KPlan}
+import repro.core.planner.{KConst, KExtend, KJoin, KPlan, KScanKV, KScanRel}
 import repro.core.query._
 import repro.kv.{BaaVStore, KVInstance, TaaVStore}
 import repro.zidian.Zidian
 
 /** The executor's KBA operators agree with the executable reference
-  * semantics: extension `∝` on both execution paths and join `⋈` on the
-  * Spark path, each run through [[Zidian]] over generated stores of `R(A,B)`
-  * keyed `⟨A;B⟩` and `S(B,C)` keyed `⟨B;C⟩`. Values come from a 3-value
-  * domain, so keys collide, blocks hold duplicate tuples and frontier keys
-  * go missing.
+  * semantics, each run through [[Zidian]] over generated instances:
+  * extension `∝` in a scan-free plan (run in process), after a KV-instance
+  * scan (run as Spark jobs) and in a plan that joins it to a TaaV scan,
+  * and join `⋈` of two scans.
+  * The relations are `R(A,B)` keyed `⟨A;B⟩`, `S(B,C)` keyed `⟨B;C⟩` and
+  * `T(A,B,C)` keyed `⟨A;B⟩` and `⟨A;C⟩`. Values come from a 3-value domain,
+  * so keys collide, blocks hold duplicate tuples and frontier keys go
+  * missing. Each instance is built from rows of its own, so `T`'s two
+  * instances need not agree and a scanned key can miss too.
   */
 class KbaSparkSpec extends SparkSpec with PropHelpers {
   private lazy val s = spark
@@ -24,10 +28,12 @@ class KbaSparkSpec extends SparkSpec with PropHelpers {
 
   private val cat = Catalog(Seq(
     RelSchema("R", Seq("A" -> LongT, "B" -> LongT), pk = Nil),
-    RelSchema("S", Seq("B" -> LongT, "C" -> LongT), pk = Nil)))
+    RelSchema("S", Seq("B" -> LongT, "C" -> LongT), pk = Nil),
+    RelSchema("T", Seq("A" -> LongT, "B" -> LongT, "C" -> LongT), pk = Seq("A"))))
   private val rKv = KVSchema("R_by_A", "R", Seq("A"), Seq("B"))
   private val sKv = KVSchema("S_by_B", "S", Seq("B"), Seq("C"))
-  private val schema = BaaVSchema(Seq(rKv, sKv))
+  private val tbKv = KVSchema("T_B_by_A", "T", Seq("A"), Seq("B"))
+  private val tcKv = KVSchema("T_C_by_A", "T", Seq("A"), Seq("C"))
 
   private val smallVal: Gen[Long] = Gen.chooseNum(1L, 3L)
   private val rowsGen: Gen[Rows] =
@@ -53,38 +59,36 @@ class KbaSparkSpec extends SparkSpec with PropHelpers {
   private val out = Seq(Attr("r", "A") -> "A", Attr("r", "B") -> "B", Attr("s", "C") -> "C")
   private val rsJoin = EqAttr(Attr("r", "B"), Attr("s", "B"))
 
-  /** `r.A = c, r.B = s.B`: the bounded chain `{A: c} ∝ ~R ∝ ~S`. */
+  /** `r.A = c, r.B = s.B`: the chain `{A: c} ∝ ~R ∝ ~S`, or `{A: c} ∝ ~R`
+    * joined to a scan of `S` when `S` has no instance.
+    */
   private def chain(c: Long) = Query("chain", atoms, Seq(EqConst(Attr("r", "A"), c.toString), rsJoin), out)
 
   /** `r.B = s.B` with no constant: the two instances are scanned and joined. */
   private val join = Query("join", atoms, Seq(rsJoin), out)
 
-  /** `{A: c} ∝ ~R ∝ ~S` in the reference semantics. */
-  private def refChain(rs: Rows, ss: Rows, c: Long): Seq[String] = {
-    val seed = RefKba.Inst(Seq("A"), Nil, Map(Seq(c.toString) -> Seq(Nil)))
-    canon(RefKba.extend(RefKba.extend(seed, ref(rs, rKv)), ref(ss, sKv)).flatten)
-  }
-
-  /** The plan body and the answer of `q` over a store of `rs` and `ss`, on
-    * the in-process path or (degree bound 0) as Spark jobs.
+  /** All of `T`, which no instance covers: `~T⟨A;B⟩` is scanned and
+    * extended by `~T⟨A;C⟩` on the primary key.
     */
-  private def answer(q: Query, rs: Rows, ss: Rows, inProcess: Boolean): (KPlan, Seq[String]) = {
-    val data = Map("R" -> df(rs, rKv), "S" -> df(ss, sKv))
-    val store = BaaVStore.build(schema, data, materialize = false)
-    val z = new Zidian(cat, schema, boundedDegree = if (inProcess) 100 else 0)
-    val ans = z.answer(q, store, new TaaVStore(cat, data), spark)
-    try {
-      assert(ans.decision.bounded.contains(inProcess), s"${q.name}: bounded must be $inProcess")
-      val rows = ans.df.collect().toSeq.map(r => out.map(_._2).zip(r.toSeq.map(String.valueOf)).toMap)
-      (ans.plan.body, canon(rows))
-    } finally {
-      ans.executor.cleanup()
-      store.instances.values.foreach(_.blocked.unpersist())
-    }
-  }
+  private val whole = Query("whole", Seq(RelAtom("T", "t")), Nil,
+                            Seq("A", "B", "C").map(c => Attr("t", c) -> c))
 
-  private def isChain(p: KPlan): Boolean = PartialFunction.cond(p) {
-    case KExtend(KExtend(KConst(_), "r", `rKv`, _), "s", `sKv`, _) => true
+  private def seed(c: Long) = RefKba.Inst(Seq("A"), Nil, Map(Seq(c.toString) -> Seq(Nil)))
+
+  /** The plan body and the answer of `q` over a store of `instances`, each
+    * built from its own rows, and a TaaV store of `relations`. The plan is
+    * scan-free, so run in process, exactly when `scanFree` is.
+    */
+  private def answer(q: Query, instances: Seq[(KVSchema, Rows)], relations: Map[String, (Rows, KVSchema)],
+                     scanFree: Boolean): (KPlan, Seq[String]) = {
+    val schema = BaaVSchema(instances.map(_._1))
+    val store = new BaaVStore(schema, instances.map { case (kv, rs) =>
+      kv.name -> KVInstance.fromRelation(df(rs, kv), kv) }.toMap)
+    val taav = new TaaVStore(cat, relations.map { case (rel, (rs, kv)) => rel -> df(rs, kv) })
+    val ans = new Zidian(cat, schema).answer(q, store, taav, spark)
+    assert(ans.plan.scanFree == scanFree, s"${q.name}: scanFree must be $scanFree")
+    val rows = ans.df.collect().toSeq.map(r => q.projection.map(_._2).zip(r.toSeq.map(String.valueOf)).toMap)
+    (ans.plan.body, canon(rows))
   }
 
   /** The cases must reach both a hit and a miss and a bag with a repeat. */
@@ -94,23 +98,52 @@ class KbaSparkSpec extends SparkSpec with PropHelpers {
 
   private val cases = Gen.zip(rowsGen, rowsGen, smallVal)
 
-  for ((path, inProcess) <- Seq("in-process" -> true, "Spark" -> false))
-    test(s"$path extension matches the reference semantics") {
-      val wants = Seq.newBuilder[Seq[String]]
-      forAllN(cases, n = 8) { case (rs, ss, c) =>
-        val (body, got) = answer(chain(c), rs, ss, inProcess)
-        assert(isChain(body), body)
-        val want = refChain(rs, ss, c)
-        assert(got == want, s"R=$rs S=$ss A=$c")
-        wants += want
-      }
-      assertCovers(wants.result())
+  test("in-process extension matches the reference semantics") {
+    val wants = Seq.newBuilder[Seq[String]]
+    forAllN(cases, n = 8) { case (rs, ss, c) =>
+      val (body, got) = answer(chain(c), Seq(rKv -> rs, sKv -> ss), Map.empty, scanFree = true)
+      assert(PartialFunction.cond(body) {
+        case KExtend(KExtend(KConst(_), "r", `rKv`, _), "s", `sKv`, _) => true
+      }, body)
+      val want = canon(RefKba.extend(RefKba.extend(seed(c), ref(rs, rKv)), ref(ss, sKv)).flatten)
+      assert(got == want, s"R=$rs S=$ss A=$c")
+      wants += want
     }
+    assertCovers(wants.result())
+  }
+
+  test("Spark extension matches the reference semantics") {
+    val wants = Seq.newBuilder[Seq[String]]
+    forAllN2(rowsGen, rowsGen, n = 8) { (bs, cs) =>
+      val (body, got) = answer(whole, Seq(tbKv -> bs, tcKv -> cs), Map.empty, scanFree = false)
+      assert(PartialFunction.cond(body) {
+        case KExtend(KScanKV("t", `tbKv`), "t", `tcKv`, _) => true
+      }, body)
+      val want = canon(RefKba.extend(ref(bs, tbKv), ref(cs, tcKv)).flatten)
+      assert(got == want, s"T⟨A;B⟩=$bs T⟨A;C⟩=$cs")
+      wants += want
+    }
+    assertCovers(wants.result())
+  }
+
+  test("an extension joined to a TaaV scan matches the reference semantics") {
+    val wants = Seq.newBuilder[Seq[String]]
+    forAllN(cases, n = 8) { case (rs, ss, c) =>
+      val (body, got) = answer(chain(c), Seq(rKv -> rs), Map("S" -> (ss, sKv)), scanFree = false)
+      assert(PartialFunction.cond(body) {
+        case KJoin(KExtend(KConst(_), "r", `rKv`, _), KScanRel("s", "S", _), Seq(_)) => true
+      }, body)
+      val want = canon(RefKba.join(RefKba.extend(seed(c), ref(rs, rKv)), ref(ss, sKv), Seq("B")).flatten)
+      assert(got == want, s"R=$rs S=$ss A=$c")
+      wants += want
+    }
+    assertCovers(wants.result())
+  }
 
   test("Spark join matches the reference semantics") {
     val wants = Seq.newBuilder[Seq[String]]
     forAllN2(rowsGen, rowsGen, n = 8) { (rs, ss) =>
-      val (body, got) = answer(join, rs, ss, inProcess = false)
+      val (body, got) = answer(join, Seq(rKv -> rs, sKv -> ss), Map.empty, scanFree = false)
       assert(PartialFunction.cond(body) { case KJoin(_, _, Seq(_)) => true }, body)
       val want = canon(RefKba.join(ref(rs, rKv), ref(ss, sKv), Seq("B")).flatten)
       assert(got == want, s"R=$rs S=$ss")

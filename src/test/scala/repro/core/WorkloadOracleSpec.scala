@@ -23,14 +23,12 @@ class WorkloadOracleSpec extends SparkSpec {
         val sql = SqlGen.toSql(wq.q, ds.catalog)
         val tables = wq.q.atoms.map(_.rel).distinct.map(r => r -> env.taav.relation(r))
         Oracle.assertEquivalent(ans.df, sql, tables: _*)
-        ans.executor.cleanup()
       }
 
       test(s"${ds.name} ${wq.q.name}: Zidian and the baseline agree") {
         val ans = env.zidian.answer(wq.q, env.baav, env.taav, spark)
         val (baseDf, _) = env.baseline.answer(wq.q, env.taav)
         assert(Oracle.canon(ans.df) == Oracle.canon(baseDf))
-        ans.executor.cleanup()
       }
     }
   }

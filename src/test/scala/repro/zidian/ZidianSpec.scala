@@ -3,7 +3,7 @@ package repro.zidian
 import repro.{SparkSpec, TwoPaths}
 import repro.benchutil.Harness
 import repro.core.model.Attr
-import repro.core.query.EqConst
+import repro.core.query.{CmpConst, CmpOp, EqConst}
 import repro.data.Workloads
 
 /** Middleware-level guarantees: M1/M2 decisions match the paper's classes,
@@ -27,7 +27,7 @@ class ZidianSpec extends SparkSpec {
           // Synthetic TPC-H degrees at tiny SF do not exceed c the way real
           // TPC-H does (§9's observation); assert the checker's contract.
           val expect = plan.scanFree &&
-            plan.usedInstances.forall(n => env.baav(n).degree <= Harness.BoundedDegree)
+            plan.usedInstances.forall(n => env.baav(n).degree <= env.zidian.boundedDegree)
           assert(d.bounded.contains(expect), s"${wq.q.name} bounded contract")
         } else {
           assert(d.bounded.contains(wq.bounded),
@@ -42,7 +42,6 @@ class ZidianSpec extends SparkSpec {
         ans.df.count()
         if (wq.scanFree) assert(ans.metrics.scans == 0, wq.q.name)
         else assert(ans.metrics.scans >= 1, wq.q.name)
-        ans.executor.cleanup()
       }
     }
 
@@ -66,7 +65,6 @@ class ZidianSpec extends SparkSpec {
         a2.df.count()
         assert(a1.metrics.gets == a2.metrics.gets, s"${wq.q.name} gets")
         assert(a1.metrics.valuesAccessed == a2.metrics.valuesAccessed, s"${wq.q.name} #data")
-        a1.executor.cleanup(); a2.executor.cleanup()
       }
     } finally env2.close()
   }
@@ -80,7 +78,6 @@ class ZidianSpec extends SparkSpec {
       val a2 = env2.zidian.answer(wq.q, env2.baav, env2.taav, spark)
       a2.df.count()
       assert(a2.metrics.valuesAccessed > a1.metrics.valuesAccessed)
-      a1.executor.cleanup(); a2.executor.cleanup()
     } finally env2.close()
   }
 
@@ -94,7 +91,7 @@ class ZidianSpec extends SparkSpec {
   }
 
   for (name <- Seq("MOT", "AIRCA")) {
-    test(s"$name: bounded q1-q6 give the same answers and counters in process and on Spark") {
+    test(s"$name: bounded q1-q6 give the baseline's answers, column types and no scan") {
       val env = envs(name)
       val bounded = env.ds.queries.filter(_.bounded)
       assert(bounded.size == 6)
@@ -104,30 +101,33 @@ class ZidianSpec extends SparkSpec {
 
   test("a constant its column type cannot hold is rejected before execution, on both paths") {
     val env = envs("MOT")
-    val q1 = Workloads.mot.queries.head.q
-    val bad = q1.copy(preds = q1.preds.map {
-      case EqConst(a, _) => EqConst(a, "abc")
-      case p             => p
-    })
-    val onSpark = new Zidian(env.ds.catalog, env.ds.baavSchema, boundedDegree = 0)
-    for (z <- Seq(env.zidian, onSpark)) {
-      val e = intercept[IllegalArgumentException](z.answer(bad, env.baav, env.taav, spark))
-      for (part <- Seq("v.v_id", "'abc'", "BIGINT")) assert(e.getMessage.contains(part), e.getMessage)
+    val Seq(q1, q7) = Seq("mot_q1", "mot_q7").map(n => Workloads.mot.queries.find(_.q.name == n).get.q)
+    // mot_q1 runs in process; mot_q7, with a range predicate that seeds
+    // no lookup, scans and runs as Spark jobs.
+    val bad = Seq(
+      q1.copy(preds = q1.preds.map {
+        case EqConst(a, _) => EqConst(a, "abc")
+        case p             => p
+      }) -> Seq("v.v_id", "'abc'", "BIGINT"),
+      q7.copy(preds = Seq(CmpConst(Attr("t", "t_year"), CmpOp.Ge, "abc"))) -> Seq("t.t_year", "'abc'", "INT"))
+    for ((q, parts) <- bad) {
+      val e = intercept[IllegalArgumentException](env.zidian.answer(q, env.baav, env.taav, spark))
+      for (part <- q.name +: parts) assert(e.getMessage.contains(part), e.getMessage)
     }
   }
 
   test("an unknown alias or column is rejected before planning, on both paths") {
     val env = envs("MOT")
-    val q1 = Workloads.mot.queries.head.q
-    val unknownCol = q1.copy(projection = Seq(Attr("t", "t_verdict") -> "result"),
-                             groupBy = Some(Seq(Attr("t", "t_verdict"))))
-    val unknownAlias = q1.copy(preds = q1.preds :+ EqConst(Attr("x", "v_id"), "101"))
-    val onSpark = new Zidian(env.ds.catalog, env.ds.baavSchema, boundedDegree = 0)
-    for (z <- Seq(env.zidian, onSpark)) {
-      val col = intercept[IllegalArgumentException](z.answer(unknownCol, env.baav, env.taav, spark))
-      for (part <- Seq("mot_q1", "t.t_verdict", "test")) assert(col.getMessage.contains(part), col.getMessage)
-      val alias = intercept[IllegalArgumentException](z.decide(unknownAlias, Some(env.baav)))
-      for (part <- Seq("mot_q1", "x.v_id", "vehicle v", "test t")) assert(alias.getMessage.contains(part), alias.getMessage)
+    // mot_q1 runs in process; mot_q7 scans and runs as Spark jobs.
+    for ((name, from) <- Seq("mot_q1" -> Seq("vehicle v", "test t"), "mot_q7" -> Seq("test t"))) {
+      val q = Workloads.mot.queries.find(_.q.name == name).get.q
+      val unknownCol = q.copy(projection = Seq(Attr("t", "t_verdict") -> "result"),
+                              groupBy = Some(Seq(Attr("t", "t_verdict"))))
+      val unknownAlias = q.copy(preds = q.preds :+ EqConst(Attr("x", "v_id"), "101"))
+      val col = intercept[IllegalArgumentException](env.zidian.answer(unknownCol, env.baav, env.taav, spark))
+      for (part <- Seq(name, "t.t_verdict", "test")) assert(col.getMessage.contains(part), col.getMessage)
+      val alias = intercept[IllegalArgumentException](env.zidian.decide(unknownAlias, Some(env.baav)))
+      for (part <- name +: "x.v_id" +: from) assert(alias.getMessage.contains(part), alias.getMessage)
     }
   }
 }
