@@ -1,15 +1,16 @@
 package repro.core.planner
 
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession, functions => F}
+import org.apache.spark.sql.{Column, DataFrame, Encoders, Row, SparkSession, classic, functions => F}
 import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
 import org.apache.spark.sql.catalyst.analysis.{AnsiTypeCoercion, TypeCoercion}
-import org.apache.spark.sql.catalyst.expressions.{And, Attribute, AttributeReference,
+import org.apache.spark.sql.catalyst.expressions.{Alias, And, Attribute, AttributeReference,
   BindReferences, Cast, EqualTo, EvalMode, Expression, GenericInternalRow, GreaterThan,
   GreaterThanOrEqual, InterpretedMutableProjection, InterpretedProjection, JoinedRow, LessThan,
   LessThanOrEqual, Literal, Not, Predicate}
 import org.apache.spark.sql.catalyst.expressions.aggregate.{Average, Count, DeclarativeAggregate, Max,
   Min, Sum}
 import org.apache.spark.sql.catalyst.optimizer.NormalizeNaNAndZero
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Distinct, Filter, LogicalPlan, Project}
 import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types.{DataType, DataTypes, DoubleType, FloatType, StructField, StructType}
 import repro.core.model.{Attr, Catalog, ColType}
@@ -29,16 +30,22 @@ import scala.jdk.CollectionConverters._
   * one body of `∝`. [[run]] picks a plan's path by scan-freeness:
   *
   *  - a scan-free plan reads the store only through key lookups (Prop. 7),
-  *    so it is evaluated wholly in process over local row sets, and the
-  *    residual σ/π/group-by evaluates Catalyst's own expressions over the
-  *    body's rows. The answer is a local relation of the result rows: a
-  *    warm read runs no Spark job, collect included.
+  *    so it is evaluated wholly in process over local row sets. The answer
+  *    is a local relation of the result rows: a warm read runs no Spark
+  *    job, collect included.
   *  - a plan that scans runs as DataFrame code, so Catalyst plans the
   *    physical execution and parallelism follows Spark's partitioning. Its
   *    scan-free sub-plans are still evaluated in process; an `∝` over a
   *    scanned frame collects the frame's distinct keys by one job, looks
   *    them up in process and joins the fetched rows back as a local
   *    relation.
+  *
+  * The two paths share their semantics. The residual σ/π/group-by is one
+  * definition, [[residual]]: Catalyst expressions that Catalyst's
+  * interpreter evaluates over the body's rows in process, and that Spark's
+  * own `Filter`/`Aggregate`/`Project`/`Distinct` operators wrap on the
+  * Spark path. Every `⋈`, and each `∝`'s join back, takes its equality
+  * conditions from one rule, [[joinOn]].
   *
   * Body rows and key indexes are held in this process's memory.
   */
@@ -54,19 +61,24 @@ final class Executor(
   private val memo = mutable.Map.empty[(KPlan, String), DataFrame]
   private val localMemo = mutable.Map.empty[(KPlan, String), Local]
 
-  private def typedLit(q: Query, v: String, a: Attr): Column =
-    F.lit(v).cast(sparkType(q.typeOf(a, cat)))
-
   /** Evaluate a full plan: run the body, then apply the query's residual
     * predicates, projection and aggregation (idempotent re-application).
     * A scan-free plan runs in process, any other as Spark jobs.
     */
   def run(zp: ZPlan): DataFrame =
     if (zp.scanFree) {
-      val (schema, rows) = residual(local(zp.body, zp.q), zp.q)
-      val toScala = CatalystTypeConverters.createToScalaConverter(schema)
-      spark.createDataFrame(rows.map(r => toScala(r).asInstanceOf[Row]).asJava, schema)
-    } else finish(frame(zp.body, zp.q), zp.q)
+      val body = local(zp.body, zp.q)
+      val in = body.fields.map(f => AttributeReference(f.name, f.dataType, f.nullable)())
+      val r = residual(in, zp.q)
+      val toCatalyst = CatalystTypeConverters.createToCatalystConverter(StructType(body.fields))
+      val rows = r.eval(in, body.rows.map(v => toCatalyst(Row.fromSeq(v)).asInstanceOf[InternalRow]))
+      val toScala = CatalystTypeConverters.createToScalaConverter(r.schema)
+      spark.createDataFrame(rows.map(v => toScala(v).asInstanceOf[Row]).asJava, r.schema)
+    } else {
+      val qe = frame(zp.body, zp.q).queryExecution
+      val plan = residual(qe.analyzed.output, zp.q).over(qe.analyzed)
+      new classic.Dataset[Row](qe.sparkSession, plan, Encoders.row(plan.schema))
+    }
 
   /** The frame of a sub-plan (memoized per query so shared chase prefixes
     * execute once).
@@ -106,25 +118,13 @@ final class Executor(
   private def toFrame(l: Local): DataFrame =
     spark.createDataFrame(l.rows.map(Row.fromSeq).asJava, StructType(l.fields))
 
-  /** Join two alias-qualified frames on (a) their shared column names and
-    * (b) the explicit attr pairs; cross join when no condition applies.
-    * Right-side duplicates of shared columns are dropped after the join.
-    */
+  /** [[joinOn]] over two alias-qualified frames, as a Spark join. */
   private def joinFrames(left: DataFrame, right: DataFrame,
                          pairs: Seq[(Attr, Attr)]): DataFrame = {
-    val dup = right.columns.toSet.intersect(left.columns.toSet).toSeq.sorted
+    val (dup, on) = joinOn(left.columns.toIndexedSeq, right.columns.toIndexedSeq, pairs)
     val renamed = dup.foldLeft(right)((df, c) => df.withColumnRenamed(c, s"__r_$c"))
     def rname(c: String): String = if (dup.contains(c)) s"__r_$c" else c
-
-    val conds: Seq[Column] =
-      dup.map(c => left(c) === renamed(s"__r_$c")) ++
-        pairs.flatMap { case (a, b) =>
-          if (left.columns.contains(a.field) && right.columns.contains(b.field))
-            Some(left(a.field) === renamed(rname(b.field)))
-          else if (left.columns.contains(b.field) && right.columns.contains(a.field))
-            Some(left(b.field) === renamed(rname(a.field)))
-          else None
-        }
+    val conds: Seq[Column] = on.map { case (l, r) => left(l) === renamed(rname(r)) }
     val joined =
       if (conds.isEmpty) left.crossJoin(renamed)
       else left.join(renamed, conds.reduce(_ && _))
@@ -193,16 +193,9 @@ final class Executor(
     Local(explodedFields(inst, alias), fetched.flatMap { case (key, blocks) => blocks.flatten.map(key ++ _) })
   }
 
-  /** [[joinFrames]] over local rows: an inner equi-join on the shared field
-    * names and the explicit attr pairs (a cross join when none applies),
-    * dropping the right side's copies of the shared fields.
-    */
+  /** [[joinOn]] over local rows. */
   private def joinLocal(left: Local, right: Local, pairs: Seq[(Attr, Attr)]): Local = {
-    val dup = right.fields.map(_.name).filter(left.at.contains)
-    val conds = dup.map(c => (c, c)) ++ pairs.collect {
-      case (a, b) if left.at.contains(a.field) && right.at.contains(b.field) => (a.field, b.field)
-      case (a, b) if left.at.contains(b.field) && right.at.contains(a.field) => (b.field, a.field)
-    }
+    val (dup, conds) = joinOn(left.fields.map(_.name), right.fields.map(_.name), pairs)
     val li = conds.map { case (l, _) => left.at(l) }
     val ri = conds.map { case (l, r) => (right.at(r), right.fields(right.at(r)).dataType,
                                          left.fields(left.at(l)).dataType) }
@@ -219,16 +212,16 @@ final class Executor(
     Local(left.fields ++ keep.map(right.fields), rows)
   }
 
-  /** [[finish]] over the rows of `body`: the result's schema and rows.
-    * The predicates, casts and aggregates are the Catalyst expressions
-    * Spark's analyzer resolves `finish` to, evaluated by Catalyst's
-    * interpreter, so constants, comparisons of strings, dates and mixed
-    * numeric types, nulls, and the aggregates' result types and rounding
-    * are Spark's own.
+  /** The query's residual σ/π/group-by over a body whose fields are `in`:
+    * the one definition both paths run. Constants and the aggregates'
+    * DECIMAL(18,2) argument casts go through Spark's `Cast`, comparisons
+    * through the session's own type coercion, and aggregates are Spark's,
+    * so constants, comparisons of strings, dates and mixed numeric types,
+    * nulls, and the aggregates' result types and rounding are Spark's own.
     */
-  private def residual(body: Local, q: Query): (StructType, Vector[InternalRow]) = {
-    val in = body.fields.map(f => AttributeReference(f.name, f.dataType, f.nullable)())
-    def col(a: Attr): Expression = in(body.at(a.field))
+  private def residual(in: Seq[Attribute], q: Query): Residual = {
+    val byName = in.map(a => a.name -> a).toMap
+    def col(a: Attr): Expression = byName(a.field)
     def lit(a: Attr, v: String): Expression = {
       val t = q.typeOf(a, cat)
       Literal.create(constant(v, t), sparkType(t))
@@ -244,84 +237,21 @@ final class Executor(
         case CmpOp.Ne => (l, r) => Not(EqualTo(l, r))
       })
     }
-    val keep = Predicate.createInterpreted(
-      BindReferences.bindReference(conds.foldLeft(Literal.TrueLiteral: Expression)(And), in))
-    val toCatalyst = CatalystTypeConverters.createToCatalystConverter(StructType(body.fields))
-    val rows = body.rows.map(r => toCatalyst(Row.fromSeq(r)).asInstanceOf[InternalRow]).filter(keep.eval)
-
-    def arg(a: Attr): Expression = aggArgType(q, a).fold(col(a))(cast(col(a), _))
-    val (outs, result) = q.groupBy match {
-      case Some(g) =>
-        val fns = q.aggs.map(agg => agg.arg.fold[DeclarativeAggregate](Count(Literal(1))) { a =>
-          agg.fn match {
-            case AggFn.Count => Count(col(a))
-            case AggFn.Sum   => Sum(arg(a))
-            case AggFn.Min   => Min(arg(a))
-            case AggFn.Max   => Max(arg(a))
-            case AggFn.Avg   => Average(arg(a))
-          }
-        })
-        val keys = g.map(col)
-        (q.projection.map(_._2).zip(keys) ++ q.aggs.map(_.as).zip(fns), aggregate(rows, in, keys, fns))
-      case None =>
-        val outs = q.projection.map { case (a, out) => out -> col(a) }
-        val project = new InterpretedProjection(outs.map { case (_, e) => if (q.distinct) asKey(e) else e }, in)
-        val projected = rows.map(project)
-        (outs, if (q.distinct) projected.distinct else projected)
-    }
-    (StructType(outs.map { case (name, e) => StructField(name, e.dataType, e.nullable) }), result)
-  }
-
-  /** The type an aggregate's argument is cast to: DECIMAL(18,2) for a
-    * numeric column, as in the generated SQL, so results compare exactly.
-    */
-  private def aggArgType(q: Query, a: Attr): Option[DataType] =
-    if (ColType.isNumeric(q.typeOf(a, cat))) Some(DataTypes.createDecimalType(18, 2)) else None
-
-  /** Residual predicates + projection / group-by aggregation (the σ/π and
-    * group-by operators of KBA over the final frame).
-    */
-  private def finish(df: DataFrame, q: Query): DataFrame = {
-    val conds = q.preds.map {
-      case EqConst(a, v)      => F.col(a.field) === typedLit(q, v, a)
-      case EqAttr(a, b)       => F.col(a.field) === F.col(b.field)
-      case CmpConst(a, op, v) =>
-        val l = F.col(a.field); val r = typedLit(q, v, a)
-        op match {
-          case CmpOp.Lt => l < r
-          case CmpOp.Le => l <= r
-          case CmpOp.Gt => l > r
-          case CmpOp.Ge => l >= r
-          case CmpOp.Ne => l =!= r
-        }
-    }
-    val filtered = conds.foldLeft(df)(_ filter _)
-
-    def aggArg(a: Attr): Column = aggArgType(q, a).fold(F.col(a.field))(F.col(a.field).cast)
-    def aggCol(agg: Agg): Column = agg.arg.fold(F.count(F.lit(1))) { a =>
+    // A numeric argument is cast to DECIMAL(18,2), as in the generated SQL,
+    // so results compare exactly.
+    def arg(a: Attr): Expression =
+      if (ColType.isNumeric(q.typeOf(a, cat))) cast(col(a), DataTypes.createDecimalType(18, 2)) else col(a)
+    def fn(agg: Agg): DeclarativeAggregate = agg.arg.fold[DeclarativeAggregate](Count(Literal(1))) { a =>
       agg.fn match {
-        case AggFn.Count => F.count(F.col(a.field))
-        case AggFn.Sum   => F.sum(aggArg(a))
-        case AggFn.Min   => F.min(aggArg(a))
-        case AggFn.Max   => F.max(aggArg(a))
-        case AggFn.Avg   => F.avg(aggArg(a))
+        case AggFn.Count => Count(col(a))
+        case AggFn.Sum   => Sum(arg(a))
+        case AggFn.Min   => Min(arg(a))
+        case AggFn.Max   => Max(arg(a))
+        case AggFn.Avg   => Average(arg(a))
       }
-    }.as(agg.as)
-
-    q.groupBy match {
-      case Some(g) =>
-        val grouped = filtered
-          .groupBy(g.map(a => F.col(a.field)): _*)
-          .agg(aggCol(q.aggs.head), q.aggs.tail.map(aggCol): _*)
-        q.projection.foldLeft(grouped) { case (d, (a, out)) =>
-          d.withColumnRenamed(a.field, out)
-        }
-      case None =>
-        val projected = filtered.select(q.projection.map { case (a, out) =>
-          F.col(a.field).as(out)
-        }: _*)
-        if (q.distinct) projected.distinct() else projected
     }
+    Residual(conds.reduceOption(And), q.projection.map { case (a, out) => out -> col(a) },
+             q.groupBy.map(_ => q.aggs.map(agg => agg.as -> fn(agg))), q.distinct)
   }
 }
 
@@ -336,9 +266,9 @@ object Executor {
   }
 
   /** The value of query constant `v` in a column of type `t`, through
-    * Spark's own `Cast` in the session's evaluation mode — exactly what the
-    * literal `F.lit(v).cast(...)` of the Spark path evaluates to. Under ANSI
-    * a value the type cannot hold throws.
+    * Spark's own `Cast` in the session's evaluation mode — exactly what
+    * Spark evaluates `CAST('v' AS t)` to. Under ANSI a value the type
+    * cannot hold throws.
     */
   def constant(v: String, t: ColType): Any =
     castValue(v, DataTypes.StringType, sparkType(t), EvalMode.fromSQLConf(SQLConf.get))
@@ -389,6 +319,51 @@ object Executor {
     op(to(l), to(r))
   }
 
+  /** The residual σ/π/group-by as Catalyst expressions over a body's
+    * attributes: the filter, the named outputs (the projected columns, or
+    * the group-by keys) and, for a group-by, the named aggregates.
+    */
+  private final case class Residual(filter: Option[Expression], outs: Seq[(String, Expression)],
+                                    aggs: Option[Seq[(String, DeclarativeAggregate)]], distinct: Boolean) {
+
+    def schema: StructType = StructType((outs ++ aggs.getOrElse(Nil)).map { case (name, e) =>
+      StructField(name, e.dataType, e.nullable)
+    })
+
+    /** The Spark path: Spark's own operators over `child`, whose output the
+      * expressions reference.
+      */
+    def over(child: LogicalPlan): LogicalPlan = {
+      val filtered = filter.fold(child)(Filter(_, child))
+      val named = outs.map { case (name, e) => Alias(e, name)() }
+      aggs match {
+        case Some(fns) =>
+          Aggregate(outs.map(_._2), named ++ fns.map { case (name, f) => Alias(f.toAggregateExpression(), name)() },
+                    filtered)
+        case None =>
+          val projected = Project(named, filtered)
+          if (distinct) Distinct(projected) else projected
+      }
+    }
+
+    /** The in-process path: Catalyst's interpreter over `rows`, whose
+      * fields are `in`.
+      */
+    def eval(in: Seq[Attribute], rows: Vector[InternalRow]): Vector[InternalRow] = {
+      val kept = filter.fold(rows) { f =>
+        val keep = Predicate.createInterpreted(BindReferences.bindReference(f, in))
+        rows.filter(keep.eval)
+      }
+      aggs match {
+        case Some(fns) => aggregate(kept, in, outs.map(_._2), fns.map(_._2))
+        case None =>
+          val project = new InterpretedProjection(outs.map { case (_, e) => if (distinct) asKey(e) else e }, in)
+          val projected = kept.map(project)
+          if (distinct) projected.distinct else projected
+      }
+    }
+  }
+
   private def cast(e: Expression, to: DataType,
                    mode: EvalMode.Value = EvalMode.fromSQLConf(SQLConf.get)): Expression =
     Cast(e, to, Some(SQLConf.get.sessionLocalTimeZone), mode)
@@ -414,6 +389,22 @@ object Executor {
     case KExtend(in, _, _, _)     => scans(in)
     case KJoin(l, r, _)           => scans(l) || scans(r)
     case _: KScanKV | _: KScanRel => true
+  }
+
+  /** The join rule of `⋈`, and of each `∝`'s join back, on both paths: an
+    * inner equi-join on the fields `left` and `right` share, then on each
+    * attr pair oriented left to right; a cross join when no condition
+    * applies. The right side's copies of the shared fields are dropped.
+    * Gives the shared fields and the (left, right) field pairs to equate.
+    */
+  private def joinOn(left: Seq[String], right: Seq[String],
+                     pairs: Seq[(Attr, Attr)]): (Seq[String], Seq[(String, String)]) = {
+    val (l, r) = (left.toSet, right.toSet)
+    val dup = right.filter(l).sorted
+    (dup, dup.map(c => (c, c)) ++ pairs.collect {
+      case (a, b) if l(a.field) && r(b.field) => (a.field, b.field)
+      case (a, b) if l(b.field) && r(a.field) => (b.field, a.field)
+    })
   }
 
   /** The pairs joining `e`'s fetched rows back to its frontier. */

@@ -31,7 +31,6 @@ final case class ChaseResult(
     steps: Seq[ChaseStep],
     derivedBy: Map[Attr, Source],
     stepOut: Map[Int, Set[Attr]],
-    cls: AttrClasses,
 ) {
   /** Retrievable columns of one alias. */
   def getCols(alias: String): Set[String] = get.collect { case Attr(`alias`, c) => c }
@@ -100,6 +99,6 @@ object Chase {
         }
       }
     }
-    ChaseResult(get.toSet, steps.toSeq, derived.toMap, stepOut.toMap, cls)
+    ChaseResult(get.toSet, steps.toSeq, derived.toMap, stepOut.toMap)
   }
 }

@@ -17,23 +17,23 @@ final class KVInstance private[kv] (val schema: KVSchema, val blocked: DataFrame
   import KVInstance.BLOCK
 
   /** Number of logical keyed blocks (distinct keys). */
-  lazy val numBlocks: Long =
-    blocked.select(schema.key.map(F.col): _*).distinct().count()
+  def numBlocks: Long = stats._1
 
   /** Number of tuples across all blocks. */
-  lazy val numTuples: Long =
-    if (isEmpty) 0L
-    else blocked.agg(F.sum(F.size(F.col(BLOCK)))).head().getLong(0)
+  def numTuples: Long = stats._2
 
   /** deg(~D): maximum logical block size (§4.1). */
-  lazy val degree: Long =
-    if (isEmpty) 0L
-    else blocked
-      .groupBy(schema.key.map(F.col): _*)
-      .agg(F.sum(F.size(F.col(BLOCK))).as("__sz"))
-      .agg(F.max(F.col("__sz"))).head().getLong(0)
+  def degree: Long = stats._3
 
-  private def isEmpty: Boolean = blocked.isEmpty
+  /** (numBlocks, numTuples, degree), by one aggregation over the logical
+    * blocks; each is 0 for an empty instance.
+    */
+  private lazy val stats: (Long, Long, Long) = {
+    val sizes = blocked.groupBy(schema.key.map(F.col): _*).agg(F.sum(F.size(F.col(BLOCK))).as("__sz"))
+    val r = sizes.agg(F.count(F.lit(1)), F.coalesce(F.sum("__sz"), F.lit(0L)),
+                      F.coalesce(F.max("__sz"), F.lit(0L))).head()
+    (r.getLong(0), r.getLong(1), r.getLong(2))
+  }
 
   /** Key → the blocks stored under it, one per segment: the point-access
     * index of §7.2, held in memory. Built by one job over `blocked` on
@@ -128,8 +128,7 @@ final class BaaVStore(val schema: BaaVSchema, val instances: Map[String, KVInsta
     val affKeys = proj.select(s.key.map(F.col): _*).distinct()
     val remaining = inst.flatten.join(affKeys, s.key).exceptAll(proj)
     val untouched = inst.blocked.join(affKeys, s.key, "left_anti")
-    if (remaining.isEmpty) KVInstance.ofBlocked(s, untouched)
-    else KVInstance.ofBlocked(s, untouched.unionByName(KVInstance.fromRelation(remaining, s).blocked))
+    KVInstance.ofBlocked(s, untouched.unionByName(KVInstance.fromRelation(remaining, s).blocked))
   }
 }
 

@@ -3,6 +3,9 @@ package repro
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.benchutil.{Env, Harness}
+import repro.data.Dataset
+import scala.collection.mutable
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -44,5 +47,15 @@ object SparkSpec {
       s"defaultParallelism=${s.sparkContext.defaultParallelism}"
     )
     s
+  }
+
+  private val envs = mutable.Map.empty[(String, Double), Env]
+
+  /** `ds` at scale factor `sf` loaded into both stores, built once per test
+    * run and shared by every suite (so no suite caches the same data
+    * twice). Suites must not close it.
+    */
+  def env(ds: Dataset, sf: Double): Env = synchronized {
+    envs.getOrElseUpdate((ds.name, sf), Harness.buildEnv(ds, shared, sf))
   }
 }

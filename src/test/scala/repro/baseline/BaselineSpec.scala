@@ -1,7 +1,6 @@
 package repro.baseline
 
 import repro.{Oracle, SparkSpec}
-import repro.benchutil.Harness
 import repro.core.query.SqlGen
 import repro.data.Workloads
 
@@ -9,7 +8,7 @@ import repro.data.Workloads
   * answers via SparkSQL — correct, but access-heavy (§3).
   */
 class BaselineSpec extends SparkSpec {
-  private lazy val env = Harness.buildEnv(Workloads.mot, spark, 0.002)
+  private lazy val env = SparkSpec.env(Workloads.mot, 0.002)
 
   test("the baseline answer matches the DuckDB oracle") {
     val wq = Workloads.mot.queries.find(_.q.name == "mot_q9").get

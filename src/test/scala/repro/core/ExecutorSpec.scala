@@ -4,7 +4,6 @@ import java.sql.Date
 import repro.{Oracle, SparkSpec, TwoPaths}
 import repro.TestSchemas._
 import repro.baseline.SqlOverNoSql
-import repro.benchutil.Harness
 import repro.core.model._
 import repro.core.planner._
 import repro.core.query._
@@ -30,6 +29,29 @@ class ExecutorSpec extends SparkSpec {
   }
   private lazy val baav = BaaVStore.build(r1, data, materialize = false)
   private lazy val taav = TaaVStore.build(cat, data)
+
+  /** The fixture stores with relation `rel` replaced by `df`: only `rel`'s
+    * relation and instances are built, the others are the fixture's own.
+    */
+  private def storesWith(rel: String, df: org.apache.spark.sql.DataFrame): (BaaVStore, TaaVStore) = {
+    val built = BaaVStore.build(BaaVSchema(r1.kvs.filter(_.rel == rel)), Map(rel -> df), materialize = false)
+    (new BaaVStore(r1, baav.instances ++ built.instances),
+     new TaaVStore(cat, taav.relations ++ TaaVStore.build(cat, Map(rel -> df)).relations))
+  }
+
+  /** The fixture store restricted to the instances of `sch`. */
+  private def restricted(sch: BaaVSchema): BaaVStore =
+    new BaaVStore(sch, baav.instances.filter { case (n, _) => sch.kvs.exists(_.name == n) })
+
+  /** ~PARTSUPP split in two instances, neither keyed by the query's
+    * constants, so PS is reconstructed by a KV scan and an extension.
+    */
+  private lazy val recon = {
+    val sch = BaaVSchema(Seq(
+      KVSchema("ps_a", "PARTSUPP", Seq("suppkey"), Seq("partkey", "availqty")),
+      KVSchema("ps_b", "PARTSUPP", Seq("partkey", "suppkey"), Seq("supplycost"))))
+    (sch, BaaVStore.build(sch, data, materialize = false))
+  }
 
   private val atlantis: Query = q1.copy(preds = q1.preds.map {
     case EqConst(at, _) => EqConst(at, "ATLANTIS")
@@ -95,9 +117,7 @@ class ExecutorSpec extends SparkSpec {
   }
 
   test("clo-reconstruction produces the same answer as direct SQL") {
-    val ps1 = KVSchema("ps_a", "PARTSUPP", Seq("suppkey"), Seq("partkey", "availqty"))
-    val ps2 = KVSchema("ps_b", "PARTSUPP", Seq("partkey", "suppkey"), Seq("supplycost"))
-    val sch = BaaVSchema(Seq(ps1, ps2))
+    val (sch, store2) = recon
     val q = Query("recon", Seq(RelAtom("PARTSUPP", "PS")),
       Seq(CmpConst(Attr("PS", "availqty"), CmpOp.Gt, "2")),
       Seq(Attr("PS", "suppkey") -> "sk"),
@@ -105,7 +125,6 @@ class ExecutorSpec extends SparkSpec {
       Seq(Agg(AggFn.Sum, Some(Attr("PS", "supplycost")), "tot")))
     val zp = PlanGen.plan(q, sch, cat)
     assert(zp.aliasModes("PS") == AliasMode.KVScanExtend)
-    val store2 = BaaVStore.build(sch, data, materialize = false)
     val exec = new Executor(s, cat, store2, taav)
     val got = exec.run(zp).collect()
       .map(r => (r.getLong(0), r.getDecimal(1).doubleValue)).toMap
@@ -124,7 +143,7 @@ class ExecutorSpec extends SparkSpec {
     val zp = PlanGen.plan(q1, sch, cat)
     assert(zp.aliasModes == Map("N" -> AliasMode.ScanFreeFetch, "S" -> AliasMode.TaaVScan,
                                 "PS" -> AliasMode.KVScan))
-    val exec = new Executor(s, cat, BaaVStore.build(sch, data, materialize = false), taav)
+    val exec = new Executor(s, cat, restricted(sch), taav)
     val got = exec.run(zp).collect().map(r => (r.getLong(0), r.getDecimal(1).doubleValue)).toMap
     assert(got == Map(10L -> 12.0, 30L -> 12.0))
     // ∝ ~NATION: 1 key, 2 cells; SUPPLIER: 3 tuples, 6 cells; ~PARTSUPP:
@@ -181,8 +200,8 @@ class ExecutorSpec extends SparkSpec {
     import s.implicits._
     val sup = Seq((Some(10L), 1), (Some(20L), 2), (Some(30L), 1), (None, 1))
       .toDF("suppkey", "nationkey")
-    val d = withRel("SUPPLIER", sup)
-    val (rows, m) = bothPaths(q1, BaaVStore.build(r1, d, materialize = false), t = TaaVStore.build(cat, d))
+    val (store, t) = storesWith("SUPPLIER", sup)
+    val (rows, m) = bothPaths(q1, store, t = t)
     assert(rows == Seq("10|12.000000", "30|12.000000"))
     // 1 + 1 + 3 frontier keys {10, 30, null}; ~SUPPLIER's block holds 3 tuples.
     assert(m.gets == 5 && m.valuesAccessed == 2 + 4 + 17)
@@ -191,8 +210,8 @@ class ExecutorSpec extends SparkSpec {
   test("both paths keep duplicate tuples of a block (bag multiplicity)") {
     import s.implicits._
     val ps = data("PARTSUPP").unionByName(Seq((101L, 10L, 7.0, 2)).toDF(data("PARTSUPP").columns.toIndexedSeq: _*))
-    val d = withRel("PARTSUPP", ps)
-    val (rows, m) = bothPaths(q1, BaaVStore.build(r1, d, materialize = false), t = TaaVStore.build(cat, d))
+    val (store, t) = storesWith("PARTSUPP", ps)
+    val (rows, m) = bothPaths(q1, store, t = t)
     assert(rows == Seq("10|19.000000", "30|12.000000"))
     assert(m.valuesAccessed == 2 + 3 + 20)
   }
@@ -206,7 +225,10 @@ class ExecutorSpec extends SparkSpec {
     assert(m.gets == 4 && m.valuesAccessed == 2 + 3 + 18)
   }
 
-  test("both paths cast date, string and padded numeric constants through Spark's Cast") {
+  /** EVENT rows keyed by day, city and id. ev_id is stored as INT under a
+    * BIGINT catalog type, so its key lookups compare values of two types.
+    */
+  private lazy val castEv = {
     import s.implicits._
     val evCat = Catalog(Seq(RelSchema("EVENT",
       Seq("ev_id" -> ColType.LongT, "day" -> ColType.DateT, "city" -> ColType.StringT,
@@ -215,24 +237,37 @@ class ExecutorSpec extends SparkSpec {
       KVSchema("ev_by_day", "EVENT", Seq("day"), Seq("ev_id", "city", "qty")),
       KVSchema("ev_by_city", "EVENT", Seq("city"), Seq("ev_id", "day", "qty")),
       KVSchema("ev_by_id", "EVENT", Seq("ev_id"), Seq("day", "city", "qty"))))
-    // ev_id is stored as INT under a BIGINT catalog type, so its key
-    // lookups compare values of two types.
     val d = Map("EVENT" -> Seq(
       (1, Date.valueOf("2024-03-05"), "PARIS", 3), (2, Date.valueOf("2024-03-05"), "LYON", 4),
       (3, Date.valueOf("2024-03-06"), "PARIS", 5), (7, Date.valueOf("2024-03-07"), "NICE", 6),
     ).toDF("ev_id", "day", "city", "qty"))
-    val store = BaaVStore.build(evSchema, d, materialize = false)
-    val evTaav = TaaVStore.build(evCat, d)
+    (evCat, evSchema, BaaVStore.build(evSchema, d, materialize = false), TaaVStore.build(evCat, d))
+  }
+
+  /** Date, string and padded numeric constants, on the scan-free plan
+    * (`scanFree`) or on a scan of EVENT.
+    */
+  private def castsConstants(scanFree: Boolean): Unit = {
+    val (evCat, _, store, evTaav) = castEv
     def query(col: String, v: String, out: String) = Query(s"by_$col",
       Seq(RelAtom("EVENT", "e")), Seq(EqConst(Attr("e", col), v)),
       Seq(Attr("e", out) -> out), Some(Seq(Attr("e", out))),
       Seq(Agg(AggFn.Sum, Some(Attr("e", "qty")), "total")))
-    def run(q: Query) = bothPaths(q, store, evSchema, evCat, evTaav)._1
+    val st = if (scanFree) store else noInstances
+    def run(q: Query) = TwoPaths.check(new Zidian(evCat, st.schema), q, st, evTaav, s, scanFree)._1
     // '2024-3-5' is not ISO-8601, but Spark's date cast accepts it.
     assert(run(query("day", "2024-3-5", "city")) == Seq("LYON|4.000000", "PARIS|3.000000"))
     assert(run(query("city", "PARIS", "day")) == Seq("2024-03-05|3.000000", "2024-03-06|5.000000"))
     // ANSI casts trim the blanks around a number.
     assert(run(query("ev_id", " 7 ", "city")) == Seq("NICE|6.000000"))
+  }
+
+  test("both paths cast date, string and padded numeric constants through Spark's Cast") {
+    castsConstants(scanFree = true)
+  }
+
+  test("a scanning plan casts date, string and padded numeric constants through Spark's Cast") {
+    castsConstants(scanFree = false)
   }
 
   test("the in-process path runs no Spark job, collect included") {
@@ -243,13 +278,13 @@ class ExecutorSpec extends SparkSpec {
     assert(jobsOf(read().df.collect()).isEmpty)
     // Every scan-free template, bounded or not, after one warm-up read.
     for (ds <- Workloads.all) {
-      val env = Harness.buildEnv(ds, s, 0.002)
-      try for (wq <- ds.queries.filter(_.scanFree)) {
+      val env = SparkSpec.env(ds, 0.002)
+      for (wq <- ds.queries.filter(_.scanFree)) {
         def read() = env.zidian.answer(wq.q, env.baav, env.taav, s)
         read().df.collect()
         val jobs = jobsOf(read().df.collect())
         assert(jobs.isEmpty, s"${ds.name} ${wq.q.name} ran Spark jobs $jobs")
-      } finally env.close()
+      }
     }
   }
 
@@ -267,13 +302,10 @@ class ExecutorSpec extends SparkSpec {
   }
 
   test("a warm reconstruction runs one Spark job per extension before collect") {
-    val ps1 = KVSchema("ps_a", "PARTSUPP", Seq("suppkey"), Seq("partkey", "availqty"))
-    val ps2 = KVSchema("ps_b", "PARTSUPP", Seq("partkey", "suppkey"), Seq("supplycost"))
-    val sch = BaaVSchema(Seq(ps1, ps2))
+    val (sch, store) = recon
     val q = Query("recon", Seq(RelAtom("PARTSUPP", "PS")), Nil,
       Seq(Attr("PS", "availqty") -> "qty", Attr("PS", "supplycost") -> "cost"))
     val z = new Zidian(cat, sch)
-    val store = BaaVStore.build(sch, data, materialize = false)
     def extensions(p: KPlan): Int = p match {
       case KExtend(in, _, _, _) => 1 + extensions(in)
       case KJoin(l, r, _)       => extensions(l) + extensions(r)
@@ -362,16 +394,35 @@ class ExecutorSpec extends SparkSpec {
     Query(name, Seq(RelAtom("EVENT", "e")), preds, out.map(c => e(c) -> c),
           groupBy.map(_.map(e)), aggs, distinct)
 
-  /** The in-process answer's rows, once both paths agree on them. */
-  private def evRows(q: Query): Seq[Seq[Any]] = {
+  /** A store of no instance: every plan over it scans the TaaV relations
+    * and runs as Spark jobs.
+    */
+  private lazy val noInstances = new BaaVStore(BaaVSchema(Nil), Map.empty)
+
+  /** Zidian's answer rows, once they agree with the baseline's: in process
+    * on the scan-free plan over `ev`'s instances (`scanFree`), else as
+    * Spark jobs on a scan of EVENT.
+    */
+  private def answerRows(scanFree: Boolean)(q: Query): Seq[Seq[Any]] = {
     val (c, sch, store, t) = ev
-    bothPaths(q, store, sch, c, t)
-    new Zidian(c, sch).answer(q, store, t, s).df.collect().toSeq.map(_.toSeq)
+    val st = if (scanFree) store else noInstances
+    val z = new Zidian(c, st.schema)
+    TwoPaths.check(z, q, st, t, s, scanFree)
+    z.answer(q, st, t, s).df.collect().toSeq.map(_.toSeq)
+  }
+
+  /** A case of the residual operators, run on both of Zidian's paths: on
+    * the scan-free plan as `both paths: <title>` (Zidian and the baseline
+    * agree), and on a scanning plan as `a scanning plan: <title>`.
+    */
+  private def residualTest(title: String)(body: (Query => Seq[Seq[Any]]) => Unit): Unit = {
+    test(s"both paths: $title")(body(answerRows(scanFree = true)))
+    test(s"a scanning plan: $title")(body(answerRows(scanFree = false)))
   }
 
   private def dec(v: String) = new java.math.BigDecimal(v)
 
-  test("both paths: avg is DECIMAL(22,6), rounded half up") {
+  residualTest("avg is DECIMAL(22,6), rounded half up") { evRows =>
     val rows = evRows(evQuery("avg", Seq(EqConst(e("day"), "2024-03-05")), Seq("city"), Some(Seq("city")),
       Seq(Agg(AggFn.Avg, Some(e("qty")), "mean_qty"), Agg(AggFn.Avg, Some(e("price")), "mean_price"))))
     // PARIS: qty 5/3; prices 2.68 + 0.13 + 1.01 after the DECIMAL(18,2) cast.
@@ -379,7 +430,7 @@ class ExecutorSpec extends SparkSpec {
                              Seq("LYON", dec("4.000000"), dec("0.340000"))))
   }
 
-  test("both paths: min and max over a date and over a string") {
+  residualTest("min and max over a date and over a string") { evRows =>
     val byDay = evRows(evQuery("date_range", Seq(EqConst(e("city"), "PARIS")), Seq("city"), Some(Seq("city")),
       Seq(Agg(AggFn.Min, Some(e("day")), "first"), Agg(AggFn.Max, Some(e("day")), "last"))))
     assert(byDay == Seq(Seq("PARIS", day("2024-03-05"), day("2024-03-06"))))
@@ -389,14 +440,14 @@ class ExecutorSpec extends SparkSpec {
     assert(byCity == Seq(Seq(day("2024-03-07"), "Zurich", "\uD83D\uDE00")))
   }
 
-  test("both paths: sum over a DOUBLE rounds each value at the third decimal") {
+  residualTest("sum over a DOUBLE rounds each value at the third decimal") { evRows =>
     val rows = evRows(evQuery("total", Seq(EqConst(e("city"), "PARIS")), Seq("city"), Some(Seq("city")),
       Seq(Agg(AggFn.Sum, Some(e("price")), "total"))))
     // 2.675, 0.125, 1.005 and 1.0 cast to 2.68, 0.13, 1.01 and 1.00.
     assert(rows == Seq(Seq("PARIS", dec("4.82"))))
   }
 
-  test("both paths: <> and range predicates on a date and on a string") {
+  residualTest("<> and range predicates on a date and on a string") { evRows =>
     def ids(seed: Pred, residual: Pred): Set[Any] =
       evRows(evQuery("range", Seq(seed, residual), Seq("ev_id"))).map(_.head).toSet
     val paris = EqConst(e("city"), "PARIS")
@@ -409,12 +460,12 @@ class ExecutorSpec extends SparkSpec {
     assert(ids(mar7, CmpConst(e("city"), CmpOp.Lt, "\uFF21")) == Set(6L, 9L, 10L))
   }
 
-  test("both paths: a residual equality across INT and BIGINT columns") {
+  residualTest("a residual equality across INT and BIGINT columns") { evRows =>
     val rows = evRows(evQuery("same", Seq(EqConst(e("city"), "PARIS"), EqAttr(e("qty"), e("ref"))), Seq("ev_id")))
     assert(rows.map(_.head).toSet == Set(1L, 3L))
   }
 
-  test("both paths: a distinct projection without group-by") {
+  residualTest("a distinct projection without group-by") { evRows =>
     val q = evQuery("cities", Seq(EqConst(e("day"), "2024-03-07")), Seq("city"), distinct = true)
     assert(evRows(q).map(_.head).sortBy(_.toString) ==
              Seq("Zurich", "avignon", "\uD83D\uDE00", "\uFF21").sortBy(_.toString))
@@ -424,14 +475,14 @@ class ExecutorSpec extends SparkSpec {
     assert(evRows(prices) == Seq(Seq(0.0)))
   }
 
-  test("both paths: a global aggregate over an empty body gives one row") {
+  residualTest("a global aggregate over an empty body gives one row") { evRows =>
     val rows = evRows(evQuery("none", Seq(EqConst(e("city"), "ATLANTIS")), Nil, Some(Nil),
       Seq(Agg(AggFn.Count, None, "n"), Agg(AggFn.Count, Some(e("ref")), "refs"), Agg(AggFn.Sum, Some(e("price")), "total"),
           Agg(AggFn.Min, Some(e("day")), "first"), Agg(AggFn.Avg, Some(e("qty")), "mean"))))
     assert(rows == Seq(Seq(0L, 0L, null, null, null)))
   }
 
-  test("both paths: a group-by over an empty body gives no rows") {
+  residualTest("a group-by over an empty body gives no rows") { evRows =>
     val q = evQuery("none_by_day", Seq(EqConst(e("city"), "ATLANTIS")), Seq("day"), Some(Seq("day")),
       Seq(Agg(AggFn.Count, None, "n")))
     assert(evRows(q).isEmpty)

@@ -9,7 +9,7 @@ import repro.data.{Mot, Workloads}
 /** Algorithm T2B (§8.1): schema design from QCS under a storage budget. */
 class T2BSpec extends SparkSpec {
   private lazy val s = spark
-  private lazy val motData = Mot.data(s, 0.002).map { case (k, v) => k -> v.cache() }
+  private lazy val motData = SparkSpec.env(Workloads.mot, 0.002).taav.relations
 
   test("supports: a QCS is supported by its own seeded schema") {
     val q = Qcs("vehicle", Set("v_id", "v_make"), Set("v_id"))

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec}
-import repro.benchutil.Harness
 import repro.core.query.SqlGen
 import repro.data.{Dataset, Workloads}
 
@@ -13,7 +12,7 @@ class WorkloadOracleSpec extends SparkSpec {
   private val Sf = 0.002
 
   private lazy val envs: Map[String, repro.benchutil.Env] =
-    Workloads.all.map(ds => ds.name -> Harness.buildEnv(ds, spark, Sf)).toMap
+    Workloads.all.map(ds => ds.name -> SparkSpec.env(ds, Sf)).toMap
 
   private def checkDataset(ds: Dataset): Unit = {
     val env = envs(ds.name)

@@ -150,4 +150,12 @@ class BaaVStoreSpec extends SparkSpec {
     val empty = KVInstance.fromRelation(partsuppDf.filter(lit(false)), TestSchemas.kvPartsupp)
     assert(empty.degree == 0 && empty.numBlocks == 0 && empty.cells == 0)
   }
+
+  test("an empty instance, built empty or emptied by delete, has no blocks, no tuples and degree 0") {
+    val empty = KVInstance.fromRelation(partsuppDf.filter(lit(false)), TestSchemas.kvPartsupp)
+    val store = new BaaVStore(repro.core.model.BaaVSchema(Seq(TestSchemas.kvPartsupp)), Map("~PARTSUPP" -> inst))
+    val emptied = store.delete("PARTSUPP", partsuppDf)("~PARTSUPP")
+    for (i <- Seq(empty, emptied)) assert((i.numBlocks, i.numTuples, i.degree) == (0L, 0L, 0L))
+    assert(emptied.blocksByKey.get(Seq(10L)).isEmpty)
+  }
 }

@@ -13,7 +13,7 @@ import repro.data.Workloads
 class ZidianSpec extends SparkSpec {
   private val Sf = 0.002
 
-  private lazy val envs = Workloads.all.map(ds => ds.name -> Harness.buildEnv(ds, spark, Sf)).toMap
+  private lazy val envs = Workloads.all.map(ds => ds.name -> SparkSpec.env(ds, Sf)).toMap
 
   for (ds <- Workloads.all) {
     lazy val env = envs(ds.name)
@@ -55,30 +55,26 @@ class ZidianSpec extends SparkSpec {
   }
 
   test("bounded MOT queries access the same amount of data when |D| doubles (Exp-2)") {
-    val env2 = Harness.buildEnv(Workloads.mot, spark, Sf * 2)
-    try {
-      for (wq <- Workloads.mot.queries if wq.bounded) {
-        val small = env2 // larger store
-        val a1 = envs("MOT").zidian.answer(wq.q, envs("MOT").baav, envs("MOT").taav, spark)
-        a1.df.count()
-        val a2 = small.zidian.answer(wq.q, small.baav, small.taav, spark)
-        a2.df.count()
-        assert(a1.metrics.gets == a2.metrics.gets, s"${wq.q.name} gets")
-        assert(a1.metrics.valuesAccessed == a2.metrics.valuesAccessed, s"${wq.q.name} #data")
-      }
-    } finally env2.close()
+    val env2 = SparkSpec.env(Workloads.mot, Sf * 2)
+    for (wq <- Workloads.mot.queries if wq.bounded) {
+      val small = env2 // larger store
+      val a1 = envs("MOT").zidian.answer(wq.q, envs("MOT").baav, envs("MOT").taav, spark)
+      a1.df.count()
+      val a2 = small.zidian.answer(wq.q, small.baav, small.taav, spark)
+      a2.df.count()
+      assert(a1.metrics.gets == a2.metrics.gets, s"${wq.q.name} gets")
+      assert(a1.metrics.valuesAccessed == a2.metrics.valuesAccessed, s"${wq.q.name} #data")
+    }
   }
 
   test("non-scan-free MOT queries access more data when |D| doubles") {
-    val env2 = Harness.buildEnv(Workloads.mot, spark, Sf * 2)
-    try {
-      val wq = Workloads.mot.queries.find(_.q.name == "mot_q7").get
-      val a1 = envs("MOT").zidian.answer(wq.q, envs("MOT").baav, envs("MOT").taav, spark)
-      a1.df.count()
-      val a2 = env2.zidian.answer(wq.q, env2.baav, env2.taav, spark)
-      a2.df.count()
-      assert(a2.metrics.valuesAccessed > a1.metrics.valuesAccessed)
-    } finally env2.close()
+    val env2 = SparkSpec.env(Workloads.mot, Sf * 2)
+    val wq = Workloads.mot.queries.find(_.q.name == "mot_q7").get
+    val a1 = envs("MOT").zidian.answer(wq.q, envs("MOT").baav, envs("MOT").taav, spark)
+    a1.df.count()
+    val a2 = env2.zidian.answer(wq.q, env2.baav, env2.taav, spark)
+    a2.df.count()
+    assert(a2.metrics.valuesAccessed > a1.metrics.valuesAccessed)
   }
 
   test("boundedness is rejected when a used instance degree exceeds c") {
