@@ -1,7 +1,7 @@
 package repro.core.planner
 
 import org.apache.spark.sql.{Column, DataFrame, Encoders, Row, SparkSession, classic, functions => F}
-import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.analysis.{AnsiTypeCoercion, TypeCoercion}
 import org.apache.spark.sql.catalyst.expressions.{Alias, And, Attribute, AttributeReference,
   BindReferences, Cast, EqualTo, EvalMode, Expression, GenericInternalRow, GreaterThan,
@@ -10,14 +10,14 @@ import org.apache.spark.sql.catalyst.expressions.{Alias, And, Attribute, Attribu
 import org.apache.spark.sql.catalyst.expressions.aggregate.{Average, Count, DeclarativeAggregate, Max,
   Min, Sum}
 import org.apache.spark.sql.catalyst.optimizer.NormalizeNaNAndZero
-import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Distinct, Filter, LogicalPlan, Project}
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Distinct, Filter, LocalRelation, LogicalPlan, Project}
 import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types.{DataType, DataTypes, DoubleType, FloatType, StructField, StructType}
+import org.apache.spark.unsafe.types.UTF8String
 import repro.core.model.{Attr, Catalog, ColType}
 import repro.core.query._
 import repro.kv.{BaaVStore, KVInstance, KVMetrics, TaaVStore}
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 
 /** Interleaved execution of KBA plans (§7.2, module M3).
   *
@@ -47,16 +47,15 @@ import scala.jdk.CollectionConverters._
   * Spark path. Every `⋈`, and each `∝`'s join back, takes its equality
   * conditions from one rule, [[joinOn]].
   *
-  * Body rows and key indexes are held in this process's memory.
+  * Body rows and key indexes are held in this process's memory, as
+  * Catalyst's internal values (`UTF8String`, dates as days in an `Int`)
+  * from the index to the answer's local relation: only a client's
+  * `collect()` converts them.
   */
-final class Executor(
-    spark: SparkSession,
-    cat: Catalog,
-    baav: BaaVStore,
-    taav: TaaVStore,
-    val metrics: KVMetrics = new KVMetrics,
-) {
+final class Executor(spark: SparkSession, cat: Catalog, baav: BaaVStore, taav: TaaVStore) {
   import Executor._
+
+  val metrics = new KVMetrics
 
   private val memo = mutable.Map.empty[(KPlan, String), DataFrame]
   private val localMemo = mutable.Map.empty[(KPlan, String), Local]
@@ -68,17 +67,17 @@ final class Executor(
   def run(zp: ZPlan): DataFrame =
     if (zp.scanFree) {
       val body = local(zp.body, zp.q)
-      val in = body.fields.map(f => AttributeReference(f.name, f.dataType, f.nullable)())
+      val in = attributes(body.fields)
       val r = residual(in, zp.q)
-      val toCatalyst = CatalystTypeConverters.createToCatalystConverter(StructType(body.fields))
-      val rows = r.eval(in, body.rows.map(v => toCatalyst(Row.fromSeq(v)).asInstanceOf[InternalRow]))
-      val toScala = CatalystTypeConverters.createToScalaConverter(r.schema)
-      spark.createDataFrame(rows.map(v => toScala(v).asInstanceOf[Row]).asJava, r.schema)
+      toFrame(r.schema, r.eval(in, body.rows.map(InternalRow.fromSeq)))
     } else {
       val qe = frame(zp.body, zp.q).queryExecution
-      val plan = residual(qe.analyzed.output, zp.q).over(qe.analyzed)
-      new classic.Dataset[Row](qe.sparkSession, plan, Encoders.row(plan.schema))
+      frameOf(residual(qe.analyzed.output, zp.q).over(qe.analyzed))
     }
+
+  /** The DataFrame of a logical plan. */
+  private def frameOf(plan: LogicalPlan): DataFrame =
+    new classic.Dataset[Row](classic.ClassicConversions.castToImpl(spark), plan, Encoders.row(plan.schema))
 
   /** The frame of a sub-plan (memoized per query so shared chase prefixes
     * execute once).
@@ -88,12 +87,13 @@ final class Executor(
 
   private def compute(p: KPlan, q: Query): DataFrame = p match {
 
-    case e @ KExtend(input, _, _, keyMap) if scans(input) =>
+    case e @ KExtend(input, _, _, keyMap) if input.scans =>
       val in = frame(input, q)
       // The frontier's distinct key columns, collected by one job.
       val keys = in.select(keyMap.collect { case (_, FromAttr(a)) => a.field }.distinct.map(F.col): _*)
         .distinct()
-      val frontier = Local(keys.schema.fields.toVector, keys.collect().toVector.map(_.toSeq.toVector))
+      val rows = keys.queryExecution.executedPlan.executeCollect()
+      val frontier = Local(keys.schema.fields.toVector, rows.toVector.map(_.toSeq(keys.schema).toVector))
       joinFrames(in, toFrame(fetch(frontier, e, q)), joinPairs(e))
 
     case KScanKV(alias, kv) =>
@@ -108,15 +108,17 @@ final class Executor(
       val df = taav.scan(rel, metrics)
       df.select(cols.map(c => F.col(c).as(Attr(alias, c).field)): _*)
 
-    case KJoin(l, r, on) if scans(p) =>
+    case KJoin(l, r, on) if p.scans =>
       joinFrames(frame(l, q), frame(r, q), on)
 
     case _ => toFrame(local(p, q)) // a scan-free sub-plan, evaluated in process
   }
 
-  /** A local relation of `l`'s rows. */
-  private def toFrame(l: Local): DataFrame =
-    spark.createDataFrame(l.rows.map(Row.fromSeq).asJava, StructType(l.fields))
+  /** A local relation of `rows`, whose fields are `fields`. */
+  private def toFrame(fields: Seq[StructField], rows: Seq[InternalRow]): DataFrame =
+    frameOf(LocalRelation(attributes(fields), rows))
+
+  private def toFrame(l: Local): DataFrame = toFrame(l.fields, l.rows.map(InternalRow.fromSeq))
 
   /** [[joinOn]] over two alias-qualified frames, as a Spark join. */
   private def joinFrames(left: DataFrame, right: DataFrame,
@@ -224,7 +226,7 @@ final class Executor(
     def col(a: Attr): Expression = byName(a.field)
     def lit(a: Attr, v: String): Expression = {
       val t = q.typeOf(a, cat)
-      Literal.create(constant(v, t), sparkType(t))
+      Literal(constant(v, t), sparkType(t))
     }
     val conds = q.preds.map {
       case EqConst(a, v)      => compare(col(a), lit(a, v))(EqualTo)
@@ -265,16 +267,17 @@ object Executor {
     case ColType.DateT   => DataTypes.DateType
   }
 
-  /** The value of query constant `v` in a column of type `t`, through
-    * Spark's own `Cast` in the session's evaluation mode — exactly what
-    * Spark evaluates `CAST('v' AS t)` to. Under ANSI a value the type
+  /** The internal value of query constant `v` in a column of type `t`,
+    * through Spark's own `Cast` in the session's evaluation mode — exactly
+    * what Spark evaluates `CAST('v' AS t)` to. Under ANSI a value the type
     * cannot hold throws.
     */
   def constant(v: String, t: ColType): Any =
-    castValue(v, DataTypes.StringType, sparkType(t), EvalMode.fromSQLConf(SQLConf.get))
+    castValue(UTF8String.fromString(v), DataTypes.StringType, sparkType(t), EvalMode.fromSQLConf(SQLConf.get))
 
+  /** Internal value `v` of type `from` cast to `to` in `mode`. */
   private def castValue(v: Any, from: DataType, to: DataType, mode: EvalMode.Value): Any =
-    CatalystTypeConverters.convertToScala(cast(Literal.create(v, from), to, mode).eval(), to)
+    cast(Literal(v, from), to, mode).eval()
 
   /** `v` of type `from` as the value of type `to` it equals under Spark's
     * `=`, if there is one. Spark compares two types in a type both widen
@@ -383,14 +386,6 @@ object Executor {
   private def explodedFields(inst: KVInstance, alias: String): Vector[StructField] =
     (inst.keyFields ++ inst.valueFields).map(f => field(Attr(alias, f.name).field, f.dataType)).toVector
 
-  /** Whether `p` reads a whole KV instance or relation. */
-  private def scans(p: KPlan): Boolean = p match {
-    case KConst(_)                => false
-    case KExtend(in, _, _, _)     => scans(in)
-    case KJoin(l, r, _)           => scans(l) || scans(r)
-    case _: KScanKV | _: KScanRel => true
-  }
-
   /** The join rule of `⋈`, and of each `∝`'s join back, on both paths: an
     * inner equi-join on the fields `left` and `right` share, then on each
     * attr pair oriented left to right; a cross join when no condition
@@ -415,6 +410,9 @@ object Executor {
     if (xs.contains(None)) None else Some(xs.flatten)
 
   private def field(name: String, t: DataType): StructField = StructField(name, t, nullable = true)
+
+  private def attributes(fields: Seq[StructField]): Seq[Attribute] =
+    fields.map(f => AttributeReference(f.name, f.dataType, f.nullable)())
 
   private type Values = Vector[Any]
 

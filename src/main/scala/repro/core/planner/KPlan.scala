@@ -16,6 +16,14 @@ final case class FromConst(v: String, typeAttr: Attr) extends KeySrc
   */
 sealed trait KPlan {
   def outAttrs: Set[Attr]
+
+  /** Whether the plan reads a whole KV instance or relation. */
+  def scans: Boolean = this match {
+    case KConst(_)                => false
+    case KExtend(in, _, _, _)     => in.scans
+    case KJoin(l, r, _)           => l.scans || r.scans
+    case _: KScanKV | _: KScanRel => true
+  }
 }
 
 /** A constant keyed block: one row binding `bindings` (possibly empty — a
@@ -69,8 +77,7 @@ final case class ZPlan(
     aliasModes: Map[String, AliasMode.Value],
 ) {
   /** Scan-free in the sense of §4.2: no KV-instance or TaaV scans. */
-  def scanFree: Boolean =
-    aliasModes.values.forall(_ == AliasMode.ScanFreeFetch)
+  def scanFree: Boolean = !body.scans
 
   /** Names of KV instances referenced by the plan (for boundedness). */
   def usedInstances: Set[String] = {

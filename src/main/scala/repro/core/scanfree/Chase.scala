@@ -1,6 +1,6 @@
 package repro.core.scanfree
 
-import repro.core.model.{Attr, BaaVSchema, Catalog, KVSchema}
+import repro.core.model.{Attr, BaaVSchema, KVSchema}
 import repro.core.query.{AttrClasses, Query}
 import scala.collection.mutable
 
@@ -49,7 +49,7 @@ final case class ChaseResult(
   */
 object Chase {
 
-  def run(q: Query, schema: BaaVSchema, cat: Catalog): ChaseResult = {
+  def run(q: Query, schema: BaaVSchema): ChaseResult = {
     val cls = new AttrClasses(q)
     val get = mutable.Set.empty[Attr]
     val derived = mutable.Map.empty[Attr, Source]

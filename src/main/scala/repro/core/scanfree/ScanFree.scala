@@ -39,7 +39,7 @@ object ScanFree {
   def check(q: Query, schema: BaaVSchema, cat: Catalog): Report = {
     val minimized = Minimize.minimize(q, cat)
     val qm = minimized.query
-    val chase = Chase.run(qm, schema, cat)
+    val chase = Chase.run(qm, schema)
     val vc = qm.atoms.map { at =>
       at.alias -> vcFor(at.alias, at.rel, chase, schema, cat)
     }.toMap

@@ -47,7 +47,7 @@ final class KVInstance private[kv] (val schema: KVSchema, val blocked: DataFrame
 
   /** The fields of a block's tuples, in `schema.value` order. */
   def valueFields: Seq[StructField] = {
-    val ArrayType(tuple: StructType, _) = blocked.schema(BLOCK).dataType
+    val ArrayType(tuple: StructType, _) = (blocked.schema(BLOCK).dataType: @unchecked)
     schema.value.map(tuple(_))
   }
 
@@ -102,34 +102,28 @@ final class BaaVStore(val schema: BaaVSchema, val instances: Map[String, KVInsta
   /** deg(~D): maximum degree across instances. */
   def degree: Long = if (instances.isEmpty) 0L else instances.values.map(_.degree).max
 
-  private def updateInstances(rel: String)(f: KVInstance => KVInstance): BaaVStore = {
-    val updated = instances.map {
-      case (n, inst) if inst.schema.rel == rel => n -> f(inst)
-      case other                               => other
-    }
-    new BaaVStore(schema, updated)
-  }
-
   /** Insert `delta` tuples of relation `rel`; only affected blocks change. */
-  def insert(rel: String, delta: DataFrame): BaaVStore = updateInstances(rel) { inst =>
-    val s = inst.schema
-    val proj = delta.select(s.attrs.map(F.col): _*)
-    val affKeys = proj.select(s.key.map(F.col): _*).distinct()
-    val oldAffected = inst.flatten.join(affKeys, s.key)
-    val rebuilt = KVInstance.fromRelation(oldAffected.unionByName(proj), s)
-    val untouched = inst.blocked.join(affKeys, s.key, "left_anti")
-    KVInstance.ofBlocked(s, untouched.unionByName(rebuilt.blocked))
-  }
+  def insert(rel: String, delta: DataFrame): BaaVStore = maintain(rel, delta)(_.unionByName(_))
 
   /** Delete `delta` tuples of relation `rel` (bag difference per block). */
-  def delete(rel: String, delta: DataFrame): BaaVStore = updateInstances(rel) { inst =>
-    val s = inst.schema
-    val proj = delta.select(s.attrs.map(F.col): _*)
-    val affKeys = proj.select(s.key.map(F.col): _*).distinct()
-    val remaining = inst.flatten.join(affKeys, s.key).exceptAll(proj)
-    val untouched = inst.blocked.join(affKeys, s.key, "left_anti")
-    KVInstance.ofBlocked(s, untouched.unionByName(KVInstance.fromRelation(remaining, s).blocked))
-  }
+  def delete(rel: String, delta: DataFrame): BaaVStore = maintain(rel, delta)(_.exceptAll(_))
+
+  /** The store with each instance of `rel` rebuilt only under the keys
+    * `delta` names: the tuples stored under them, combined with `delta` by
+    * `combine`, make the new blocks of those keys; every other block is
+    * kept as it is.
+    */
+  private def maintain(rel: String, delta: DataFrame)(combine: (DataFrame, DataFrame) => DataFrame): BaaVStore =
+    new BaaVStore(schema, instances.map {
+      case (n, inst) if inst.schema.rel == rel =>
+        val s = inst.schema
+        val proj = delta.select(s.attrs.map(F.col): _*)
+        val affKeys = proj.select(s.key.map(F.col): _*).distinct()
+        val rebuilt = KVInstance.fromRelation(combine(inst.flatten.join(affKeys, s.key), proj), s)
+        val untouched = inst.blocked.join(affKeys, s.key, "left_anti")
+        n -> KVInstance.ofBlocked(s, untouched.unionByName(rebuilt.blocked))
+      case other => other
+    })
 }
 
 object BaaVStore {
@@ -139,13 +133,12 @@ object BaaVStore {
       schema: BaaVSchema,
       data: Map[String, DataFrame],
       maxBlockSize: Option[Int] = None,
-      materialize: Boolean = true,
   ): BaaVStore = {
     val insts = schema.kvs.map { kv =>
       val df = data.getOrElse(kv.rel, throw new NoSuchElementException(s"no data for ${kv.rel}"))
       val inst = KVInstance.fromRelation(df, kv, maxBlockSize)
       val cached = new KVInstance(kv, inst.blocked.cache())
-      if (materialize) cached.blocked.count()
+      cached.blocked.count()
       kv.name -> cached
     }.toMap
     new BaaVStore(schema, insts)

@@ -1,7 +1,6 @@
 package repro.kv
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.CatalystTypeConverters
 import org.apache.spark.sql.catalyst.expressions.UnsafeRow
 import org.apache.spark.sql.types.{ArrayType, StructType}
 import org.apache.spark.unsafe.Platform
@@ -17,7 +16,7 @@ import org.apache.spark.unsafe.Platform
   * arrays of half a region or more outside the young generation), so
   * holding the index does not lengthen the pauses of later reads. A lookup
   * finds its key by binary search over the hashes and decodes only the
-  * blocks it names.
+  * blocks it names, as the Catalyst internal values the rows hold.
   */
 final class BlockIndex private (
     schema: StructType,
@@ -30,16 +29,15 @@ final class BlockIndex private (
   import BlockIndex._
 
   private val keyOf = keyReader(schema, keyAt)
-  private val ArrayType(tuple: StructType, _) = schema(blockAt).dataType
+  private val ArrayType(tuple: StructType, _) = (schema(blockAt).dataType: @unchecked)
   private val tupleTypes = tuple.fields.map(_.dataType).toVector
-  private val tupleConv = tupleTypes.map(CatalystTypeConverters.createToScalaConverter)
 
   /** Number of stored rows (segments). */
   def size: Int = hashes.length
 
-  /** The blocks stored under `key` (values of the key columns' external
-    * types, in key order), one per segment in stored order, each a bag of
-    * tuples in the block's field order; `None` if the key has none.
+  /** The blocks stored under `key` (internal values of the key columns,
+    * in key order), one per segment in stored order, each a bag of tuples
+    * in the block's field order; `None` if the key has none.
     */
   def get(key: Seq[Any]): Option[Seq[Seq[Vector[Any]]]] = {
     val h = key.##
@@ -63,7 +61,7 @@ final class BlockIndex private (
     val tuples = r.getArray(blockAt)
     (0 until tuples.numElements).map { j =>
       val t = tuples.getStruct(j, tupleTypes.size)
-      tupleTypes.indices.map(f => tupleConv(f)(t.get(f, tupleTypes(f)))).toVector
+      tupleTypes.indices.map(f => t.get(f, tupleTypes(f))).toVector
     }
   }
 }
@@ -98,15 +96,9 @@ object BlockIndex {
 
   private val MaxBytes = Int.MaxValue - 16
 
-  /** The key of a stored row, as values of the key columns' external types. */
-  private def keyReader(schema: StructType, keyAt: Seq[Int]): UnsafeRow => Vector[Any] = {
-    val read = keyAt.map { i =>
-      val t = schema(i).dataType
-      val conv = CatalystTypeConverters.createToScalaConverter(t)
-      (r: UnsafeRow) => conv(r.get(i, t))
-    }
-    r => read.map(_(r)).toVector
-  }
+  /** The key of a stored row, as internal values of the key columns. */
+  private def keyReader(schema: StructType, keyAt: Seq[Int]): UnsafeRow => Vector[Any] =
+    r => keyAt.map(i => r.get(i, schema(i).dataType)).toVector
 
   /** The first index of a sorted array whose value is at least `h`. */
   private def firstAtLeast(sorted: Array[Int], h: Int): Int = {

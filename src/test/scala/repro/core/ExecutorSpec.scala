@@ -1,7 +1,7 @@
 package repro.core
 
 import java.sql.Date
-import repro.{Oracle, SparkSpec, TwoPaths}
+import repro.{ExampleStores, Oracle, SparkSpec, TwoPaths}
 import repro.TestSchemas._
 import repro.baseline.SqlOverNoSql
 import repro.core.model._
@@ -15,29 +15,13 @@ import repro.zidian.Zidian
 class ExecutorSpec extends SparkSpec {
   private lazy val s = spark
 
-  private lazy val data = {
-    import s.implicits._
-    Map(
-      "NATION"   -> Seq((1, "GERMANY"), (2, "FRANCE")).toDF("nationkey", "name"),
-      "SUPPLIER" -> Seq((10L, 1), (20L, 2), (30L, 1)).toDF("suppkey", "nationkey"),
-      "PARTSUPP" -> Seq(
-        (100L, 10L, 5.0, 1), (101L, 10L, 7.0, 2),
-        (102L, 20L, 9.0, 3),
-        (103L, 30L, 2.0, 4), (104L, 30L, 4.0, 5), (105L, 30L, 6.0, 6),
-      ).toDF("partkey", "suppkey", "supplycost", "availqty"),
-    )
-  }
-  private lazy val baav = BaaVStore.build(r1, data, materialize = false)
-  private lazy val taav = TaaVStore.build(cat, data)
+  private def data = ExampleStores.data
+  private def baav = ExampleStores.baav
+  private def taav = ExampleStores.taav
 
-  /** The fixture stores with relation `rel` replaced by `df`: only `rel`'s
-    * relation and instances are built, the others are the fixture's own.
-    */
-  private def storesWith(rel: String, df: org.apache.spark.sql.DataFrame): (BaaVStore, TaaVStore) = {
-    val built = BaaVStore.build(BaaVSchema(r1.kvs.filter(_.rel == rel)), Map(rel -> df), materialize = false)
-    (new BaaVStore(r1, baav.instances ++ built.instances),
-     new TaaVStore(cat, taav.relations ++ TaaVStore.build(cat, Map(rel -> df)).relations))
-  }
+  /** The fixture stores with relation `rel` replaced by `df`. */
+  private def storesWith(rel: String, df: org.apache.spark.sql.DataFrame): (BaaVStore, TaaVStore) =
+    (ExampleStores.baavWith(rel, df), ExampleStores.taavWith(rel, df))
 
   /** The fixture store restricted to the instances of `sch`. */
   private def restricted(sch: BaaVSchema): BaaVStore =
@@ -50,7 +34,7 @@ class ExecutorSpec extends SparkSpec {
     val sch = BaaVSchema(Seq(
       KVSchema("ps_a", "PARTSUPP", Seq("suppkey"), Seq("partkey", "availqty")),
       KVSchema("ps_b", "PARTSUPP", Seq("partkey", "suppkey"), Seq("supplycost"))))
-    (sch, BaaVStore.build(sch, data, materialize = false))
+    (sch, BaaVStore.build(sch, data))
   }
 
   private val atlantis: Query = q1.copy(preds = q1.preds.map {
@@ -179,8 +163,6 @@ class ExecutorSpec extends SparkSpec {
   // "Both paths" are Zidian's and the baseline's: TwoPaths asserts the two
   // answers are equal, and each test asserts Zidian's counters.
 
-  private def withRel(rel: String, df: org.apache.spark.sql.DataFrame) = data.updated(rel, df)
-
   private def bothPaths(q: Query, store: BaaVStore = baav, sch: BaaVSchema = r1,
                         c: Catalog = cat, t: TaaVStore = taav) =
     TwoPaths.check(new Zidian(c, sch), q, store, t, s)
@@ -217,7 +199,7 @@ class ExecutorSpec extends SparkSpec {
   }
 
   test("both paths count every segment of a split block in #data") {
-    val split = BaaVStore.build(r1, data, maxBlockSize = Some(2), materialize = false)
+    val split = BaaVStore.build(r1, data, maxBlockSize = Some(2))
     assert(split("~PARTSUPP").blocked.count() == 4) // suppkey 30 spans two segments
     val (rows, m) = bothPaths(q1, split)
     assert(rows == Seq("10|12.000000", "30|12.000000"))
@@ -241,7 +223,7 @@ class ExecutorSpec extends SparkSpec {
       (1, Date.valueOf("2024-03-05"), "PARIS", 3), (2, Date.valueOf("2024-03-05"), "LYON", 4),
       (3, Date.valueOf("2024-03-06"), "PARIS", 5), (7, Date.valueOf("2024-03-07"), "NICE", 6),
     ).toDF("ev_id", "day", "city", "qty"))
-    (evCat, evSchema, BaaVStore.build(evSchema, d, materialize = false), TaaVStore.build(evCat, d))
+    (evCat, evSchema, BaaVStore.build(evSchema, d), TaaVStore.build(evCat, d))
   }
 
   /** Date, string and padded numeric constants, on the scan-free plan
@@ -331,21 +313,20 @@ class ExecutorSpec extends SparkSpec {
     import s.implicits._
     val cols = data("PARTSUPP").columns.toIndexedSeq
     val z = new Zidian(cat, r1)
-    val store = BaaVStore.build(r1, data, materialize = false)
-    assert(Oracle.canon(z.answer(q1, store, taav, s).df) == Seq("10|12.000000", "30|12.000000"))
+    assert(Oracle.canon(z.answer(q1, baav, taav, s).df) == Seq("10|12.000000", "30|12.000000"))
     val ins = Seq((106L, 10L, 3.0, 7)).toDF(cols: _*)
     val del = Seq((103L, 30L, 2.0, 4)).toDF(cols: _*)
     def read(st: BaaVStore, ps: org.apache.spark.sql.DataFrame): Seq[String] = {
-      val t = TaaVStore.build(cat, withRel("PARTSUPP", ps))
+      val t = ExampleStores.taavWith("PARTSUPP", ps)
       val ans = z.answer(q1, st, t, s)
       assert(ans.decision.bounded.contains(true))
       val rows = Oracle.canon(ans.df)
       assert(rows == Oracle.canon(new SqlOverNoSql(cat, s).answer(q1, t)._1))
       rows
     }
-    assert(read(store.insert("PARTSUPP", ins), data("PARTSUPP").unionByName(ins)) ==
+    assert(read(baav.insert("PARTSUPP", ins), data("PARTSUPP").unionByName(ins)) ==
              Seq("10|15.000000", "30|12.000000"))
-    assert(read(store.delete("PARTSUPP", del), data("PARTSUPP").exceptAll(del)) ==
+    assert(read(baav.delete("PARTSUPP", del), data("PARTSUPP").exceptAll(del)) ==
              Seq("10|12.000000", "30|10.000000"))
   }
 
@@ -382,7 +363,7 @@ class ExecutorSpec extends SparkSpec {
       (11L, day("2024-03-08"), "NICE", 1, 1L, 0.0),
       (12L, day("2024-03-08"), "NICE", 1, 1L, -0.0),
     ).toDF("ev_id", "day", "city", "qty", "ref", "price"))
-    (c, sch, BaaVStore.build(sch, d, materialize = false), TaaVStore.build(c, d))
+    (c, sch, BaaVStore.build(sch, d), TaaVStore.build(c, d))
   }
 
   /** A query over EVENT `e`: `preds`, output columns named after their
@@ -479,7 +460,7 @@ class ExecutorSpec extends SparkSpec {
     val rows = evRows(evQuery("none", Seq(EqConst(e("city"), "ATLANTIS")), Nil, Some(Nil),
       Seq(Agg(AggFn.Count, None, "n"), Agg(AggFn.Count, Some(e("ref")), "refs"), Agg(AggFn.Sum, Some(e("price")), "total"),
           Agg(AggFn.Min, Some(e("day")), "first"), Agg(AggFn.Avg, Some(e("qty")), "mean"))))
-    assert(rows == Seq(Seq(0L, 0L, null, null, null)))
+    assert(rows == Seq(Seq[Any](0L, 0L, null, null, null)))
   }
 
   residualTest("a group-by over an empty body gives no rows") { evRows =>

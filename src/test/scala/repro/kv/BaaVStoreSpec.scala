@@ -1,9 +1,9 @@
 package repro.kv
 
-import org.apache.spark.sql.Row
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
-import repro.TestSchemas
+import org.apache.spark.sql.types.{DateType, LongType}
+import org.apache.spark.unsafe.types.UTF8String
+import repro.{ExampleStores, SparkSpec, TestSchemas}
 import repro.core.model.KVSchema
 
 class BaaVStoreSpec extends SparkSpec {
@@ -18,6 +18,9 @@ class BaaVStoreSpec extends SparkSpec {
     ).toDF("partkey", "suppkey", "supplycost", "availqty")
   }
   private lazy val inst = KVInstance.fromRelation(partsuppDf, TestSchemas.kvPartsupp)
+
+  /** The shared example stores with PARTSUPP replaced by `partsuppDf`. */
+  private lazy val store = ExampleStores.baavWith("PARTSUPP", partsuppDf)
 
   test("fromRelation groups tuples into keyed blocks") {
     assert(inst.numBlocks == 3)
@@ -68,21 +71,33 @@ class BaaVStoreSpec extends SparkSpec {
     assert(index.get(Seq(40L)).isEmpty)
   }
 
-  test("the key index decodes string keys, dates and nulls as collect() does") {
+  test("the key index decodes string keys, dates and nulls as internal values") {
     import s.implicits._
     val (d1, d2) = (java.sql.Date.valueOf("2020-01-02"), java.sql.Date.valueOf("2021-03-04"))
     val df = Seq(("a", d1, Option(1L)), ("a", d2, None), ("a", d1, Option(1L)), ("b", d2, Option(2L)))
       .toDF("k", "d", "n")
-    val i = KVInstance.fromRelation(df, KVSchema("~K", "K", Seq("k"), Seq("d", "n")))
-    def sorted(block: Seq[Seq[Any]]) = block.map(_.mkString("|")).sorted
-    val collected = i.blocked.collect().map(r => r.getString(0) -> r.getSeq[Row](1).map(_.toSeq))
-    assert(collected.length == 2)
-    for ((k, block) <- collected) {
-      val segments = i.blocksByKey.get(Seq(k)).get
-      assert(segments.size == 1 && sorted(segments.head) == sorted(block))
-    }
-    assert(i.blocksByKey.get(Seq("a")).get.head.count(_ == Vector(d1, 1L)) == 2)
-    assert(i.blocksByKey.get(Seq("c")).isEmpty)
+    val i = KVInstance.fromRelation(df, KVSchema("~K", "K", Seq("k"), Seq("d", "n")), maxBlockSize = Some(2))
+    // Each key's segments as the internal rows of `blocked` hold them.
+    val stored: Map[Seq[Any], Seq[Seq[Vector[Any]]]] =
+      i.blocked.queryExecution.executedPlan.executeCollect().toSeq.map { r =>
+        val block = r.getArray(1)
+        Seq[Any](r.getUTF8String(0)) -> (0 until block.numElements()).map(j =>
+          block.getStruct(j, 2).toSeq(Seq(DateType, LongType)).toVector)
+      }.groupMap(_._1)(_._2)
+    def bag[A](xs: Seq[A]): Map[A, Int] = xs.groupMapReduce(identity)(_ => 1)(_ + _)
+    def segmentBags(segments: Seq[Seq[Vector[Any]]]) = bag(segments.map(bag))
+    val (a, b, c) = (UTF8String.fromString("a"), UTF8String.fromString("b"), UTF8String.fromString("c"))
+    assert(stored.keySet == Set(Seq(a), Seq(b)))
+    for ((k, segments) <- stored) assert(segmentBags(i.blocksByKey.get(k).get) == segmentBags(segments))
+    // Key a's three tuples span two segments; its duplicate tuple and its
+    // null stay, and dates are days since the epoch.
+    val aTuples = i.blocksByKey.get(Seq(a)).get
+    assert(aTuples.size == 2 && aTuples.flatten.size == 3)
+    val (day1, day2) = (d1.toLocalDate.toEpochDay.toInt, d2.toLocalDate.toEpochDay.toInt)
+    assert(aTuples.flatten.count(_ == Vector(day1, 1L)) == 2)
+    assert(aTuples.flatten.contains(Vector[Any](day2, null)))
+    assert(aTuples.flatten.forall(_.head.isInstanceOf[Int]))
+    assert(i.blocksByKey.get(Seq(c)).isEmpty)
   }
 
   test("fromRelation rejects empty value schemas") {
@@ -91,13 +106,7 @@ class BaaVStoreSpec extends SparkSpec {
   }
 
   test("BaaVStore.build maps every KV schema of the BaaV schema") {
-    import s.implicits._
-    val data = Map(
-      "PARTSUPP" -> partsuppDf,
-      "SUPPLIER" -> Seq((10L, 1), (20L, 1), (30L, 2)).toDF("suppkey", "nationkey"),
-      "NATION"   -> Seq((1, "GERMANY"), (2, "FRANCE")).toDF("nationkey", "name"),
-    )
-    val store = BaaVStore.build(TestSchemas.r1, data, materialize = false)
+    val store = ExampleStores.baav
     assert(store.instances.keySet == Set("~SUPPLIER", "~PARTSUPP", "~NATION"))
     assert(store("~SUPPLIER").degree == 2)
     assert(store.degree == 3)
@@ -105,9 +114,6 @@ class BaaVStoreSpec extends SparkSpec {
 
   test("insert rebuilds only affected blocks and matches a full rebuild") {
     import s.implicits._
-    val data = Map("PARTSUPP" -> partsuppDf)
-    val store = BaaVStore.build(repro.core.model.BaaVSchema(Seq(TestSchemas.kvPartsupp)),
-                                data, materialize = false)
     val delta = Seq((9L, 10L, 11.0, 7), (6L, 40L, 2.5, 2))
       .toDF("partkey", "suppkey", "supplycost", "availqty")
     val updated = store.insert("PARTSUPP", delta)("~PARTSUPP")
@@ -119,9 +125,6 @@ class BaaVStoreSpec extends SparkSpec {
 
   test("delete removes exactly the delta tuples (bag difference)") {
     import s.implicits._
-    val data = Map("PARTSUPP" -> partsuppDf)
-    val store = BaaVStore.build(repro.core.model.BaaVSchema(Seq(TestSchemas.kvPartsupp)),
-                                data, materialize = false)
     val delta = Seq((1L, 10L, 5.0, 3), (5L, 30L, 1.0, 9))
       .toDF("partkey", "suppkey", "supplycost", "availqty")
     val updated = store.delete("PARTSUPP", delta)("~PARTSUPP")
@@ -134,13 +137,6 @@ class BaaVStoreSpec extends SparkSpec {
 
   test("updates leave instances of other relations untouched") {
     import s.implicits._
-    val data = Map(
-      "PARTSUPP" -> partsuppDf,
-      "NATION"   -> Seq((1, "GERMANY")).toDF("nationkey", "name"),
-    )
-    val store = BaaVStore.build(
-      repro.core.model.BaaVSchema(Seq(TestSchemas.kvPartsupp, TestSchemas.kvNation)),
-      data, materialize = false)
     val delta = Seq((9L, 10L, 11.0, 7)).toDF("partkey", "suppkey", "supplycost", "availqty")
     val updated = store.insert("PARTSUPP", delta)
     assert(updated("~NATION").blocked eq store("~NATION").blocked)

@@ -1,21 +1,12 @@
 package repro.kv
 
-import repro.SparkSpec
-import repro.TestSchemas
+import repro.{ExampleStores, SparkSpec}
 
 class TaaVStoreSpec extends SparkSpec {
-  private lazy val s = spark
-
-  private lazy val store = {
-    import s.implicits._
-    TaaVStore.build(TestSchemas.cat, Map(
-      "NATION"   -> Seq((1, "GERMANY"), (2, "FRANCE")).toDF("nationkey", "name"),
-      "SUPPLIER" -> Seq((10L, 1), (20L, 2), (30L, 2)).toDF("suppkey", "nationkey"),
-    ))
-  }
+  private def store = ExampleStores.taav
 
   test("build materializes row counts") {
-    assert(store.rowCount == Map("NATION" -> 2L, "SUPPLIER" -> 3L))
+    assert(store.rowCount == Map("NATION" -> 2L, "SUPPLIER" -> 3L, "PARTSUPP" -> 6L))
   }
 
   test("cells = rows × arity") {

@@ -97,7 +97,8 @@ class ZidianSpec extends SparkSpec {
 
   test("a constant its column type cannot hold is rejected before execution, on both paths") {
     val env = envs("MOT")
-    val Seq(q1, q7) = Seq("mot_q1", "mot_q7").map(n => Workloads.mot.queries.find(_.q.name == n).get.q)
+    def template(n: String) = Workloads.mot.queries.find(_.q.name == n).get.q
+    val (q1, q7) = (template("mot_q1"), template("mot_q7"))
     // mot_q1 runs in process; mot_q7, with a range predicate that seeds
     // no lookup, scans and runs as Spark jobs.
     val bad = Seq(
