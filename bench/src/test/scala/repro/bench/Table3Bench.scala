@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.benchutil.Tables
+import repro.benchutil.{QueryRun, Tables}
 import repro.data.Workloads
 import repro.kv.Backend
 
@@ -19,10 +19,15 @@ class Table3Bench extends SparkSpec {
 
   private lazy val results = Tables.table3(spark, Sf)
 
-  private def avg(ds: String, mode: String, b: Backend,
+  /** One side of a query's (baseline, Zidian) pair of runs. */
+  private type Side = (QueryRun, QueryRun) => QueryRun
+  private val base: Side = (b, _) => b
+  private val zidian: Side = (_, z) => z
+
+  private def avg(ds: String, side: Side, b: Backend,
                   pred: repro.data.WorkQuery => Boolean = _ => true): Double = {
     val rs = results(ds).filter { case (wq, _, _) => pred(wq) }
-    val ts = rs.map { case (_, base, zid) => if (mode == "base") base.totalSec(b) else zid.totalSec(b) }
+    val ts = rs.map { case (_, bq, zq) => side(bq, zq).totalSec(b) }
     ts.sum / ts.size
   }
 
@@ -33,14 +38,14 @@ class Table3Bench extends SparkSpec {
 
   test("Table 3 shape: Zidian wins on average for every dataset and backend") {
     for (ds <- Workloads.all.map(_.name); b <- Backend.all) {
-      assert(avg(ds, "zidian", b) < avg(ds, "base", b), s"$ds/${b.name}")
+      assert(avg(ds, zidian, b) < avg(ds, base, b), s"$ds/${b.name}")
     }
   }
 
   test("Table 3 shape: scan-free queries speed up more than non-scan-free (MOT)") {
     val b = Backend.SoH
-    val sfSpeed  = avg("MOT", "base", b, _.scanFree) / avg("MOT", "zidian", b, _.scanFree)
-    val nsfSpeed = avg("MOT", "base", b, !_.scanFree) / avg("MOT", "zidian", b, !_.scanFree)
+    val sfSpeed  = avg("MOT", base, b, _.scanFree) / avg("MOT", zidian, b, _.scanFree)
+    val nsfSpeed = avg("MOT", base, b, !_.scanFree) / avg("MOT", zidian, b, !_.scanFree)
     assert(sfSpeed > nsfSpeed, f"scan-free $sfSpeed%.1fx vs non $nsfSpeed%.1fx")
   }
 
@@ -67,15 +72,15 @@ class Table3Bench extends SparkSpec {
     // Compare deterministic storage seconds of the scan-free class: the
     // paper's real-life speedups (10^3x) dwarf the TPC-H ones (10^1-10^2x)
     // because MOT/AIRCA scan-free queries are point-seeded.
-    def storage(ds: String, mode: String): Double = {
+    def storage(ds: String, side: Side): Double = {
       val rs = results(ds).filter { case (wq, _, _) => wq.scanFree }
-      rs.map { case (_, base, zid) =>
-        val r = if (mode == "base") base else zid
+      rs.map { case (_, bq, zq) =>
+        val r = side(bq, zq)
         Backend.SoH.getOverheadUs * r.gets + Backend.SoH.perValueUs * r.values
       }.sum
     }
-    val motCut  = storage("MOT", mode = "base") / math.max(storage("MOT", mode = "zid"), 1e-9)
-    val tpchCut = storage("TPC-H", mode = "base") / math.max(storage("TPC-H", mode = "zid"), 1e-9)
+    val motCut  = storage("MOT", base) / math.max(storage("MOT", zidian), 1e-9)
+    val tpchCut = storage("TPC-H", base) / math.max(storage("TPC-H", zidian), 1e-9)
     assert(motCut > tpchCut, f"MOT $motCut%.1fx vs TPC-H $tpchCut%.1fx")
   }
 

@@ -27,18 +27,20 @@ import scala.collection.mutable
   * instance's key index ([[KVInstance.blocksByKey]], counted as values),
   * explodes them and joins back — data access and computation are
   * interleaved instead of fetch-all-first. That lookup ([[fetch]]) is the
-  * one body of `∝`. [[run]] picks a plan's path by scan-freeness:
+  * one body of `∝`, and it runs in process only: [[PlanGen]] gives every
+  * extension a scan-free input. [[run]] picks a plan's path by
+  * scan-freeness:
   *
   *  - a scan-free plan reads the store only through key lookups (Prop. 7),
   *    so it is evaluated wholly in process over local row sets. The answer
   *    is a local relation of the result rows: a warm read runs no Spark
   *    job, collect included.
   *  - a plan that scans runs as DataFrame code, so Catalyst plans the
-  *    physical execution and parallelism follows Spark's partitioning. Its
-  *    scan-free sub-plans are still evaluated in process; an `∝` over a
-  *    scanned frame collects the frame's distinct keys by one job, looks
-  *    them up in process and joins the fetched rows back as a local
-  *    relation.
+  *    physical execution and parallelism follows Spark's partitioning. It
+  *    has only scans, joins and scan-free sub-plans; the latter are
+  *    evaluated in process and joined in as local relations. Once the
+  *    instances' statistics and key indexes are built, its answer is lazy:
+  *    no Spark job runs before the client's action.
   *
   * The two paths share their semantics. The residual σ/π/group-by is one
   * definition, [[residual]]: Catalyst expressions that Catalyst's
@@ -86,15 +88,6 @@ final class Executor(spark: SparkSession, cat: Catalog, baav: BaaVStore, taav: T
     memo.getOrElseUpdate((p, q.name), compute(p, q))
 
   private def compute(p: KPlan, q: Query): DataFrame = p match {
-
-    case e @ KExtend(input, _, _, keyMap) if input.scans =>
-      val in = frame(input, q)
-      // The frontier's distinct key columns, collected by one job.
-      val keys = in.select(keyMap.collect { case (_, FromAttr(a)) => a.field }.distinct.map(F.col): _*)
-        .distinct()
-      val rows = keys.queryExecution.executedPlan.executeCollect()
-      val frontier = Local(keys.schema.fields.toVector, rows.toVector.map(_.toSeq(keys.schema).toVector))
-      joinFrames(in, toFrame(fetch(frontier, e, q)), joinPairs(e))
 
     case KScanKV(alias, kv) =>
       val inst = baav(kv.name)
@@ -157,11 +150,10 @@ final class Executor(spark: SparkSession, cat: Catalog, baav: BaaVStore, taav: T
       throw new IllegalArgumentException(s"a plan run in process must be scan-free: $scan")
   }
 
-  /** The storage side of `frontier ∝ ~kv` (§7.2), on either path: ship the
-    * frontier's distinct keys, look up only the blocks they name in the
-    * instance's key index, and explode them into alias-qualified rows. A
-    * key with a null, or with no value of the key column's type, names
-    * none. `frontier` holds at least the columns the keys come from.
+  /** The storage side of `frontier ∝ ~kv` (§7.2): ship the frontier's
+    * distinct keys, look up only the blocks they name in the instance's key
+    * index, and explode them into alias-qualified rows. A key with a null,
+    * or with no value of the key column's type, names none.
     */
   private def fetch(frontier: Local, e: KExtend, q: Query): Local = {
     val KExtend(_, alias, kv, keyMap) = e
@@ -386,7 +378,7 @@ object Executor {
   private def explodedFields(inst: KVInstance, alias: String): Vector[StructField] =
     (inst.keyFields ++ inst.valueFields).map(f => field(Attr(alias, f.name).field, f.dataType)).toVector
 
-  /** The join rule of `⋈`, and of each `∝`'s join back, on both paths: an
+  /** The join rule of `⋈` on both paths, and of each `∝`'s join back: an
     * inner equi-join on the fields `left` and `right` share, then on each
     * attr pair oriented left to right; a cross join when no condition
     * applies. The right side's copies of the shared fields are dropped.

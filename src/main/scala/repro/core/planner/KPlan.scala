@@ -63,7 +63,7 @@ final case class KJoin(left: KPlan, right: KPlan, on: Seq[(Attr, Attr)]) extends
 
 /** How each alias of the (minimized) query is fetched. */
 object AliasMode extends Enumeration {
-  val ScanFreeFetch, KVScan, KVScanExtend, TaaVScan = Value
+  val ScanFreeFetch, KVScan, KVScanJoin, TaaVScan = Value
 }
 
 /** A full Zidian plan: the body producing the joined frame of the minimized

@@ -1,7 +1,6 @@
 package repro.core.planner
 
-import repro.core.model.{Attr, BaaVSchema, Catalog, KVSchema}
-import repro.core.preserve.Closure
+import repro.core.model.{BaaVSchema, Catalog, KVSchema}
 import repro.core.query.{EqAttr, Query}
 import repro.core.scanfree.{ChaseResult, ConstSrc, ScanFree, StepSrc}
 import scala.collection.mutable
@@ -13,8 +12,9 @@ import scala.collection.mutable
   * extension whose input joins the plans of the steps (or constants)
   * supplying its key attributes. Per alias we pick the step covering
   * `X^{min(Q)}_R`; aliases not scan-free fall back to a KV-instance scan
-  * (clo-reconstructed via pk-keyed extensions if needed), and finally to a
-  * TaaV relation scan — module M1's "existing SQL layer" path.
+  * (clo-reconstructed by joining scans of pk-keyed instances if needed),
+  * and finally to a TaaV relation scan — module M1's "existing SQL layer"
+  * path. So every extension has a scan-free input.
   */
 object PlanGen {
 
@@ -90,30 +90,27 @@ object PlanGen {
       stepPlans: Map[Int, KPlan],
       schema: BaaVSchema,
       cat: Catalog,
-  ): (KPlan, AliasMode.Value) = {
+  ): (KPlan, AliasMode.Value) =
     // (1) scan-free: one chase step whose KV schema covers the needed cols.
-    val covering = chase.stepsFor(alias).find(s => needCols.subsetOf(s.kv.attrs.toSet))
-    covering match {
+    chase.stepsFor(alias).find(s => needCols.subsetOf(s.kv.attrs.toSet)) match {
       case Some(s) => (stepPlans(s.id), AliasMode.ScanFreeFetch)
       case None =>
-        // (2) scan of a single covering KV instance.
-        val rels = schema.forRel(rel)
-        rels.find(kv => needCols.subsetOf(kv.attrs.toSet)) match {
-          case Some(kv) => (KScanKV(alias, kv), AliasMode.KVScan)
+        // (2) KV scans: the first instance, covering ones first, that
+        //     `reconstruct` completes.
+        schema.forRel(rel).sortBy(kv => !needCols.subsetOf(kv.attrs.toSet)).iterator
+          .flatMap(reconstruct(alias, _, needCols, schema, cat)).nextOption() match {
+          case Some(p: KScanKV) => (p, AliasMode.KVScan)
+          case Some(p)          => (p, AliasMode.KVScanJoin)
           case None =>
-            // (3) clo-reconstruction: scan the best-covering instance and
-            //     extend via key-contained instances (Condition II cover).
-            rels.find(kv => needCols.subsetOf(Closure.clo(kv, schema, cat)))
-              .flatMap(kv0 => reconstruct(alias, kv0, needCols, schema, cat)) match {
-              case Some(p) => (p, AliasMode.KVScanExtend)
-              case None =>
-                // (4) the existing SQL layer: TaaV relation scan.
-                (KScanRel(alias, rel, cat(rel).attrs), AliasMode.TaaVScan)
-            }
+            // (3) the existing SQL layer: TaaV relation scan.
+            (KScanRel(alias, rel, cat(rel).attrs), AliasMode.TaaVScan)
         }
     }
-  }
 
+  /** A scan of `kv0`, joined to scans of instances keyed by a superkey of
+    * the relation's primary key until `needCols` are covered (the
+    * clo-reconstruction of Condition II).
+    */
   private def reconstruct(alias: String, kv0: KVSchema, needCols: Set[String],
                           schema: BaaVSchema, cat: Catalog): Option[KPlan] = {
     val relPk = cat(kv0.rel).pk.toSet
@@ -123,14 +120,14 @@ object PlanGen {
     var progress = true
     while (missing.nonEmpty && progress) {
       progress = false
-      // Only extend through instances keyed by a superkey of the relation:
-      // joining partial fetches on a non-unique key would multiply tuples.
+      // Only join instances keyed by a superkey of the relation: joining
+      // partial tuples on a non-unique key would multiply them.
       schema.forRel(kv0.rel).find { kv =>
         kv.key.toSet.subsetOf(have) && relPk.nonEmpty &&
           relPk.subsetOf(kv.key.toSet) && kv.attrs.exists(missing.contains)
       } match {
         case Some(kv) =>
-          plan = KExtend(plan, alias, kv, kv.key.map(c => c -> (FromAttr(Attr(alias, c)): KeySrc)))
+          plan = KJoin(plan, KScanKV(alias, kv), Nil)
           have ++= kv.attrs
           missing = needCols.diff(have)
           progress = true

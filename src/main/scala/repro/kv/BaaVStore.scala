@@ -85,9 +85,6 @@ object KVInstance {
       .drop("__seg")
     new KVInstance(schema, grouped)
   }
-
-  private[kv] def ofBlocked(schema: KVSchema, blocked: DataFrame): KVInstance =
-    new KVInstance(schema, blocked)
 }
 
 /** A BaaV store `~D` of a BaaV schema `~R` (§4.1): one KV instance per KV
@@ -121,7 +118,7 @@ final class BaaVStore(val schema: BaaVSchema, val instances: Map[String, KVInsta
         val affKeys = proj.select(s.key.map(F.col): _*).distinct()
         val rebuilt = KVInstance.fromRelation(combine(inst.flatten.join(affKeys, s.key), proj), s)
         val untouched = inst.blocked.join(affKeys, s.key, "left_anti")
-        n -> KVInstance.ofBlocked(s, untouched.unionByName(rebuilt.blocked))
+        n -> new KVInstance(s, untouched.unionByName(rebuilt.blocked))
       case other => other
     })
 }

@@ -31,13 +31,6 @@ final class TaaVStore(val cat: Catalog, val relations: Map[String, DataFrame]) {
     m.taavScans += 1
     relation(name)
   }
-
-  /** Point access by primary key — used by the KV-workload bench (Exp-4). */
-  def get(name: String, m: KVMetrics): Unit = {
-    m.addGets(1)
-    m.addValues(cat(name).attrs.size)
-    m.addComm(cat(name).attrs.size)
-  }
 }
 
 object TaaVStore {

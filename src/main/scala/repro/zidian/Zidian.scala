@@ -83,8 +83,10 @@ final class Zidian(val cat: Catalog, val schema: BaaVSchema,
   /** Plan and execute `q` over the stores. Storage-access metrics are
     * recorded while the plan is interpreted. A scan-free plan reads the
     * store only through key lookups (Prop. 7), so it runs in process and
-    * the returned DataFrame is a local relation of the answer's rows; any
-    * other plan runs as Spark jobs and its answer is materialized lazily.
+    * the returned DataFrame is a local relation of the answer's rows. Any
+    * other plan is Spark's scans and joins over its scanned instances and
+    * relations, with its scan-free sub-plans (every `∝` among them) run in
+    * process; its answer is materialized lazily, by the client's action.
     * Boundedness is reported in the decision and does not pick the path.
     */
   def answer(q: Query, baav: BaaVStore, taav: TaaVStore, spark: SparkSession): ZidianAnswer = {

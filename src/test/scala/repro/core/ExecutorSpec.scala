@@ -28,7 +28,7 @@ class ExecutorSpec extends SparkSpec {
     new BaaVStore(sch, baav.instances.filter { case (n, _) => sch.kvs.exists(_.name == n) })
 
   /** ~PARTSUPP split in two instances, neither keyed by the query's
-    * constants, so PS is reconstructed by a KV scan and an extension.
+    * constants, so PS is reconstructed by joining scans of both.
     */
   private lazy val recon = {
     val sch = BaaVSchema(Seq(
@@ -108,16 +108,15 @@ class ExecutorSpec extends SparkSpec {
       Some(Seq(Attr("PS", "suppkey"))),
       Seq(Agg(AggFn.Sum, Some(Attr("PS", "supplycost")), "tot")))
     val zp = PlanGen.plan(q, sch, cat)
-    assert(zp.aliasModes("PS") == AliasMode.KVScanExtend)
+    assert(zp.aliasModes("PS") == AliasMode.KVScanJoin)
     val exec = new Executor(s, cat, store2, taav)
     val got = exec.run(zp).collect()
       .map(r => (r.getLong(0), r.getDecimal(1).doubleValue)).toMap
     assert(got == Map(20L -> 9.0, 30L -> 12.0))
-    // Scan ~ps_a: 3 blocks, 3 key + 6 x 2 value cells. Extend by its 6
-    // distinct (partkey, suppkey) keys, 12 cells shipped: 6 blocks of
-    // 2 key + 1 value cells fetched.
+    // Scan ~ps_a: 3 blocks, 3 key + 6 x 2 value cells. Scan ~ps_b: 6
+    // blocks of 2 key + 1 value cells. No key is shipped.
     val m = exec.metrics
-    assert((m.gets, m.valuesAccessed, m.commCells, m.scans) == (3 + 6, 15 + 18, 15 + 12 + 18, 1))
+    assert((m.gets, m.valuesAccessed, m.commCells, m.scans) == (3 + 6, 15 + 18, 15 + 18, 2))
   }
 
   test("a plan mixing an extension with scans counts both") {
@@ -283,28 +282,22 @@ class ExecutorSpec extends SparkSpec {
     assert((m.gets, m.valuesAccessed, m.commCells) == (1, 0, 1))
   }
 
-  test("a warm reconstruction runs one Spark job per extension before collect") {
+  test("a warm reconstruction runs no Spark job before collect") {
     val (sch, store) = recon
     val q = Query("recon", Seq(RelAtom("PARTSUPP", "PS")), Nil,
       Seq(Attr("PS", "availqty") -> "qty", Attr("PS", "supplycost") -> "cost"))
     val z = new Zidian(cat, sch)
-    def extensions(p: KPlan): Int = p match {
-      case KExtend(in, _, _, _) => 1 + extensions(in)
-      case KJoin(l, r, _)       => extensions(l) + extensions(r)
-      case _                    => 0
-    }
     // Without adaptive execution each action is one job, so the count shows
     // the actions the plan runs before its answer is collected.
     val aqe = "spark.sql.adaptive.enabled"
     val was = s.conf.get(aqe)
     s.conf.set(aqe, "false")
     try {
-      z.answer(q, store, taav, s).df.collect() // computes the instances' statistics and key indexes
+      z.answer(q, store, taav, s).df.collect() // computes the instances' statistics
       var ans: repro.zidian.ZidianAnswer = null
       val jobs = jobsOf { ans = z.answer(q, store, taav, s) }
-      assert(ans.plan.aliasModes("PS") == AliasMode.KVScanExtend)
-      assert(extensions(ans.plan.body) == 1)
-      assert(jobs.size == 1, s"jobs $jobs")
+      assert(ans.plan.aliasModes("PS") == AliasMode.KVScanJoin)
+      assert(jobs.isEmpty, s"jobs $jobs")
       assert(ans.df.collect().length == 6)
     } finally s.conf.set(aqe, was)
   }

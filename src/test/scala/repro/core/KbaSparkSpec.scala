@@ -12,9 +12,10 @@ import repro.zidian.Zidian
 
 /** The executor's KBA operators agree with the executable reference
   * semantics, each run through [[Zidian]] over generated instances:
-  * extension `∝` in a scan-free plan (run in process), after a KV-instance
-  * scan (run as Spark jobs) and in a plan that joins it to a TaaV scan,
-  * and join `⋈` of two scans.
+  * extension `∝` in a scan-free plan (run in process) and in a plan that
+  * joins it to a TaaV scan, the KV scans joined on a primary key that
+  * reconstruct a relation (run as Spark jobs) against `∝`, and join `⋈`
+  * of two scans.
   * The relations are `R(A,B)` keyed `⟨A;B⟩`, `S(B,C)` keyed `⟨B;C⟩` and
   * `T(A,B,C)` keyed `⟨A;B⟩` and `⟨A;C⟩`. Values come from a 3-value domain,
   * so keys collide, blocks hold duplicate tuples and frontier keys go
@@ -67,8 +68,8 @@ class KbaSparkSpec extends SparkSpec with PropHelpers {
   /** `r.B = s.B` with no constant: the two instances are scanned and joined. */
   private val join = Query("join", atoms, Seq(rsJoin), out)
 
-  /** All of `T`, which no instance covers: `~T⟨A;B⟩` is scanned and
-    * extended by `~T⟨A;C⟩` on the primary key.
+  /** All of `T`, which no instance covers: scans of `~T⟨A;B⟩` and
+    * `~T⟨A;C⟩` joined on the primary key, which is `~T⟨A;B⟩ ∝ ~T⟨A;C⟩`.
     */
   private val whole = Query("whole", Seq(RelAtom("T", "t")), Nil,
                             Seq("A", "B", "C").map(c => Attr("t", c) -> c))
@@ -116,9 +117,7 @@ class KbaSparkSpec extends SparkSpec with PropHelpers {
     val wants = Seq.newBuilder[Seq[String]]
     forAllN2(rowsGen, rowsGen, n = 8) { (bs, cs) =>
       val (body, got) = answer(whole, Seq(tbKv -> bs, tcKv -> cs), Map.empty, scanFree = false)
-      assert(PartialFunction.cond(body) {
-        case KExtend(KScanKV("t", `tbKv`), "t", `tcKv`, _) => true
-      }, body)
+      assert(body == KJoin(KScanKV("t", tbKv), KScanKV("t", tcKv), Nil), body)
       val want = canon(RefKba.extend(ref(bs, tbKv), ref(cs, tcKv)).flatten)
       assert(got == want, s"T⟨A;B⟩=$bs T⟨A;C⟩=$cs")
       wants += want

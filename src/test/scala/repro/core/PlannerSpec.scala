@@ -64,9 +64,9 @@ class PlannerSpec extends AnyFunSuite {
     assert(zp.body == KScanRel("N", "NATION", Seq("nationkey", "name")))
   }
 
-  test("clo-reconstruction scans one instance and extends by its key") {
+  test("clo-reconstruction joins scans of two instances on the key") {
     // Split PARTSUPP across two schemas; needing all attrs forces a scan of
-    // one plus an extension of the other via the shared key.
+    // each, joined on their shared fields, which hold the primary key.
     val ps1 = KVSchema("ps_a", "PARTSUPP", Seq("suppkey"), Seq("partkey", "availqty"))
     val ps2 = KVSchema("ps_b", "PARTSUPP", Seq("partkey", "suppkey"), Seq("supplycost"))
     val sch = BaaVSchema(Seq(ps1, ps2))
@@ -76,14 +76,8 @@ class PlannerSpec extends AnyFunSuite {
       Some(Seq(a("PS", "partkey"))),
       Seq(Agg(AggFn.Sum, Some(a("PS", "supplycost")), "tot")))
     val zp = PlanGen.plan(q, sch, cat)
-    assert(zp.aliasModes("PS") == AliasMode.KVScanExtend)
-    zp.body match {
-      case KExtend(KScanKV("PS", k0), "PS", k1, keyMap) =>
-        assert(k0.name == "ps_a" && k1.name == "ps_b")
-        assert(keyMap == Seq("partkey" -> FromAttr(a("PS", "partkey")),
-                             "suppkey" -> FromAttr(a("PS", "suppkey"))))
-      case other => fail(s"unexpected reconstruction shape: $other")
-    }
+    assert(zp.aliasModes("PS") == AliasMode.KVScanJoin)
+    assert(zp.body == KJoin(KScanKV("PS", ps1), KScanKV("PS", ps2), Nil))
   }
 
   test("non-scan-free joins produce KJoin over scans with the join predicate") {
@@ -112,6 +106,22 @@ class PlannerSpec extends AnyFunSuite {
       val zp = PlanGen.plan(wq.q, ds.baavSchema, ds.catalog)
       assert(zp.scanFree == wq.scanFree,
         s"${wq.q.name}: plan modes ${zp.aliasModes}")
+    }
+  }
+
+  test("every workload template is fetched scan-free or by single KV scans") {
+    // So a ladder change cannot silently move the Table 2/3 counters.
+    def extendsScan(p: KPlan): Boolean = p match {
+      case KExtend(in, _, _, _) => in.scans || extendsScan(in)
+      case KJoin(l, r, _)       => extendsScan(l) || extendsScan(r)
+      case _                    => false
+    }
+    for (ds <- Workloads.all; wq <- ds.queries) {
+      val zp = PlanGen.plan(wq.q, ds.baavSchema, ds.catalog)
+      val modes = zp.aliasModes.values.toSet
+      assert(modes.subsetOf(Set(AliasMode.ScanFreeFetch, AliasMode.KVScan)), s"${wq.q.name}: $modes")
+      assert((modes == Set(AliasMode.ScanFreeFetch)) == wq.scanFree, s"${wq.q.name}: $modes")
+      assert(!extendsScan(zp.body), s"${wq.q.name}: an extension of a scan")
     }
   }
 

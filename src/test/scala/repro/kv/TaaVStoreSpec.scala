@@ -28,12 +28,6 @@ class TaaVStoreSpec extends SparkSpec {
     assert(m.gets == 5 && m.scans == 2)
   }
 
-  test("point get costs one get and one tuple of values") {
-    val m = new KVMetrics
-    store.get("NATION", m)
-    assert(m.gets == 1 && m.valuesAccessed == 2)
-  }
-
   test("unknown relations are rejected") {
     assertThrows[NoSuchElementException](store.relation("NOPE"))
   }
